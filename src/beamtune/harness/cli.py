@@ -16,6 +16,7 @@ LLM loop offline.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -36,7 +37,15 @@ from .episode import LLMOptimizer
 from .metrics import evaluate
 from .report import regenerate_csv, write_outputs
 
-OPTIMIZER_CHOICES = ("bo", "es", "random", "do-nothing", "llm", "rlo")
+# Every optimizer but llm: its constructor, which takes the config section
+# optimizers.<name> unchanged, and the keywords the harness supplies per run.
+OPTIMIZERS = {
+    "do-nothing": (DoNothing, ()),
+    "random": (RandomSearch, ("seed",)),
+    "es": (ExtremumSeeking, ("seed",)),
+    "bo": (BayesianOptimizer, ("seed", "budget")),
+    "rlo": (ReinforcementPolicyOptimizer.from_spec, ("spec",)),
+}
 PROMPT_ALIASES = {
     "tuning": "tuning",
     "explained": "explained",
@@ -55,6 +64,18 @@ def _load_trials(args, config: Config) -> list[Trial]:
     return canonical_trials(config.trial_generator())
 
 
+def _checked(section: str, options: dict, constructor, supplied=()) -> dict:
+    """``options``, once each is a keyword of ``constructor`` that the
+    harness does not supply itself; exits naming any other key."""
+    accepted = set(inspect.signature(constructor).parameters) - set(supplied)
+    unknown = sorted(set(options) - accepted)
+    if unknown:
+        raise SystemExit(
+            "unknown config key: " + ", ".join(f"{section}.{key}" for key in unknown)
+        )
+    return options
+
+
 def _build_backend_factory(args, config: Config):
     """Per-run backend factory.
 
@@ -67,62 +88,22 @@ def _build_backend_factory(args, config: Config):
         if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
             raise SystemExit("--script file must hold a JSON list of strings")
         return lambda: ScriptedBackend(list(responses), on_exhaust=args.script_on_exhaust)
-    options = config.backend_options(args.backend)
-    shared = HttpBackend(
-        base_url=options["base_url"],
-        dialect=options.get("dialect", "openai"),
-        backend_id=args.backend,
-        requests_per_minute=options.get("requests_per_minute"),
+    options = _checked(
+        f"llm.backends.{args.backend}",
+        config.backend_options(args.backend),
+        HttpBackend,
+        ("backend_id", "session", "sleeper"),
     )
+    shared = HttpBackend(backend_id=args.backend, **options)
     return lambda: shared
 
 
-def _optimizer_factory(args, config: Config):
-    kind = args.optimizer
-    if kind == "do-nothing":
-        return lambda trial, seed: DoNothing(), "do-nothing"
-    if kind == "random":
-        return lambda trial, seed: RandomSearch(seed=seed), "random"
-    if kind == "es":
-        options = config.optimizer_options("es")
-        return (
-            lambda trial, seed: ExtremumSeeking(
-                seed=seed,
-                gain=float(options.get("gain", 16.0)),
-                amplitude=float(options.get("amplitude", 0.0025)),
-                dt=float(options.get("dt", 1.0)),
-            ),
-            "es",
-        )
-    if kind == "bo":
-        options = config.optimizer_options("bo")
-        budget = args.budget if args.budget is not None else int(
-            config.harness_options()["budget"]
-        )
-        return (
-            lambda trial, seed: BayesianOptimizer(
-                seed=seed,
-                n_init=int(options.get("n_init", 5)),
-                n_candidates=int(options.get("n_candidates", 4096)),
-                n_refine=int(options.get("n_refine", 8)),
-                budget=budget,
-            ),
-            "bo",
-        )
-    if kind == "rlo":
-        if not args.policy:
-            raise SystemExit("--policy module:attribute is required for the rlo optimizer")
-        return (
-            lambda trial, seed: ReinforcementPolicyOptimizer.from_spec(args.policy),
-            "rlo",
-        )
-    # llm
+def _llm_factory(args, config: Config):
     if not args.model:
         raise SystemExit("--model is required for the llm optimizer")
     prompt_kind = PROMPT_ALIASES[args.prompt]
     backend_factory = _build_backend_factory(args, config)
     llm_options = config.llm_options()
-    temperature = llm_options.get("temperature")
 
     def factory(trial: Trial, seed: int) -> LLMOptimizer:
         return LLMOptimizer(
@@ -130,30 +111,49 @@ def _optimizer_factory(args, config: Config):
             model=args.model,
             prompt_kind=prompt_kind,
             target=trial.target,
-            temperature=temperature,
-            timeout=float(llm_options.get("timeout_s", 120.0)),
-            window=int(llm_options.get("window", 50)),
+            temperature=llm_options["temperature"],
+            timeout=float(llm_options["timeout_s"]),
+            window=int(llm_options["window"]),
             system_prompt=default_system_prompt(args.model),
-            second_chance_feedback=bool(llm_options.get("second_chance_feedback", False)),
+            second_chance_feedback=bool(llm_options["second_chance_feedback"]),
         )
 
     return factory, f"llm-{args.model}-{args.prompt}"
 
 
+def _optimizer_factory(args, config: Config, budget: int):
+    name = args.optimizer
+    if name == "llm":
+        return _llm_factory(args, config)
+    if name == "rlo" and not args.policy:
+        raise SystemExit("--policy module:attribute is required for the rlo optimizer")
+    constructor, supplied = OPTIMIZERS[name]
+    options = _checked(
+        f"optimizers.{name}", config.optimizer_options(name), constructor, supplied
+    )
+
+    def factory(trial: Trial, seed: int):
+        given = {"seed": seed, "budget": budget, "spec": args.policy}
+        return constructor(**{key: given[key] for key in supplied}, **options)
+
+    return factory, name
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    trials = _load_trials(args, config)
-    factory, optimizer_id = _optimizer_factory(args, config)
     harness_options = config.harness_options()
+    budget = args.budget if args.budget is not None else int(harness_options["budget"])
+    n_seeds = args.seeds if args.seeds is not None else int(harness_options["seeds"])
+    factory, optimizer_id = _optimizer_factory(args, config, budget)
     summary = evaluate(
-        trials,
+        _load_trials(args, config),
         factory,
         optimizer_id=optimizer_id,
-        n_seeds=args.seeds if args.seeds is not None else int(harness_options["seeds"]),
-        budget=args.budget if args.budget is not None else int(harness_options["budget"]),
+        n_seeds=n_seeds,
+        budget=budget,
         geometry=config.geometry(),
         noise_sigma=config.noise_sigma(),
-        workers=int(harness_options.get("workers", 1)),
+        workers=int(harness_options["workers"]),
     )
     paths = write_outputs([summary], args.out)
     improvement = summary.aggregates["normalized_improvement_pct"]
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="evaluate one optimizer on the trial suite")
     run.add_argument("--config", default=None, help="YAML config overriding the defaults")
-    run.add_argument("--optimizer", required=True, choices=OPTIMIZER_CHOICES)
+    run.add_argument("--optimizer", required=True, choices=(*OPTIMIZERS, "llm"))
     run.add_argument("--prompt", default="optimisation", choices=sorted(PROMPT_ALIASES))
     run.add_argument("--model", default=None, help="model name for the llm optimizer")
     run.add_argument("--backend", default="openai", help="backend name from the config")

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..llm import ChatRequest, TransportError, chat
+from ..llm import DEFAULT_TIMEOUT_S, ChatRequest, TransportError, chat
 from ..optics import BeamParameters, LatticeGeometry
 from ..prompts import ParsedSettings, parse, render
 from ..task import MagnetSettings, Sample, Trial, TuningEnvironment
@@ -104,8 +104,7 @@ class LLMOptimizer:
         prompt_kind: str,
         target: BeamParameters,
         temperature: float | None = None,
-        max_tokens: int | None = None,
-        timeout: float = 120.0,
+        timeout: float = DEFAULT_TIMEOUT_S,
         window: int = 50,
         system_prompt: str | None = None,
         second_chance_feedback: bool = False,
@@ -115,7 +114,6 @@ class LLMOptimizer:
         self.prompt_kind = prompt_kind
         self.target = target
         self.temperature = temperature
-        self.max_tokens = max_tokens
         self.timeout = timeout
         self.window = window
         self.system_prompt = system_prompt
@@ -127,7 +125,6 @@ class LLMOptimizer:
             user_message=prompt,
             system_prompt=self.system_prompt,
             temperature=self.temperature,
-            max_tokens=self.max_tokens,
             timeout=self.timeout,
         )
         started = time.perf_counter()

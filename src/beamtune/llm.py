@@ -106,7 +106,6 @@ class ChatRequest:
     user_message: str
     system_prompt: str | None = None
     temperature: float | None = None  # None: backend dialect default
-    max_tokens: int | None = None
     timeout: float = DEFAULT_TIMEOUT_S
 
     def validate(self) -> None:
@@ -223,23 +222,17 @@ class HttpBackend:
             else default_temperature(self.dialect)
         )
         if self.dialect == "openai":
-            payload = {
+            return {
                 "model": request.model,
                 "messages": messages,
                 "temperature": temperature,
             }
-            if request.max_tokens is not None:
-                payload["max_tokens"] = request.max_tokens
-            return payload
-        payload = {
+        return {
             "model": request.model,
             "messages": messages,
             "stream": False,
             "options": {"temperature": temperature},
         }
-        if request.max_tokens is not None:
-            payload["options"]["num_predict"] = request.max_tokens
-        return payload
 
     def _extract(self, data: dict) -> tuple[str, int | None, int | None]:
         try:

@@ -72,8 +72,7 @@ class ReinforcementPolicyOptimizer:
 
     The policy is any callable mapping the sample history to the next
     :class:`MagnetSettings`. ``from_spec`` loads one from a
-    ``"module:attribute"`` string, where the attribute is either the policy
-    itself or a zero-argument factory for it.
+    ``"module:attribute"`` string naming the policy itself.
     """
 
     def __init__(self, policy) -> None:
@@ -86,15 +85,7 @@ class ReinforcementPolicyOptimizer:
         module_name, _, attribute = spec.partition(":")
         if not module_name or not attribute:
             raise ValueError(f"policy spec must look like 'module:attribute', got {spec!r}")
-        obj = getattr(import_module(module_name), attribute)
-        if not callable(obj):
-            raise TypeError(f"{spec!r} is not callable")
-        # Allow a factory returning the policy as well as the policy itself.
-        try:
-            candidate = obj()
-        except TypeError:
-            candidate = obj
-        return cls(candidate if callable(candidate) else obj)
+        return cls(getattr(import_module(module_name), attribute))
 
     def propose(self, history: Sequence[Sample]) -> MagnetSettings:
         settings = self._policy(history)

@@ -17,13 +17,23 @@ from typing import Sequence
 
 import numpy as np
 from scipy import optimize
-from scipy.stats import qmc
 
 from ..task import MagnetSettings, Sample
 from .base import box_bounds, denormalize, normalize
 from .gp import GaussianProcess, GPFitError, expected_improvement
 
 __all__ = ["BayesianOptimizer"]
+
+
+def _sobol(seed: int, n: int) -> np.ndarray:
+    """``n`` scrambled Sobol points on [-1, 1]^5."""
+    # imported here: scipy.stats is about half of the CLI's import time, and
+    # only BO needs it
+    from scipy.stats import qmc
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # power-of-two draw sizes only
+        return qmc.Sobol(d=5, scramble=True, seed=seed).random(n) * 2.0 - 1.0
 
 
 class BayesianOptimizer:
@@ -62,21 +72,13 @@ class BayesianOptimizer:
         self.fallback_steps: list[int] = []
         self._warm_start: np.ndarray | None = None
         self._rng = np.random.default_rng(seed)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # power-of-two draw sizes only
-            sobol = qmc.Sobol(d=5, scramble=True, seed=self.seed)
-            count = max(self.n_init - 1, 1)
-            size = 1 << (count - 1).bit_length()
-            self._design = sobol.random(size)[:count] * 2.0 - 1.0
+        count = max(self.n_init - 1, 1)
+        self._design = _sobol(self.seed, 1 << (count - 1).bit_length())[:count]
 
     # -- helpers --------------------------------------------------------------
 
     def _candidates(self, step: int) -> np.ndarray:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sobol = qmc.Sobol(d=5, scramble=True, seed=self.seed + 7919 * step)
-            return sobol.random(self.n_candidates) * 2.0 - 1.0
+        return _sobol(self.seed + 7919 * step, self.n_candidates)
 
     def _random_settings(self) -> MagnetSettings:
         low, high = box_bounds()

@@ -44,26 +44,21 @@ class ExtremumSeeking:
     gain:      phase-coupling gain k applied to the rescaled objective.
     amplitude: dither energy a; zero freezes the settings.
     dt:        time step of the discretised update law.
-    frequencies: per-dimension dither frequencies; defaults to
-               :func:`default_frequencies`.
+
+    The dither frequencies are :func:`default_frequencies`.
     """
 
     def __init__(
         self,
         seed: int = 0,
         gain: float = 16.0,
-        amplitude: float = 0.05**2,
+        amplitude: float = 0.0025,
         dt: float = 1.0,
-        frequencies: np.ndarray | None = None,
     ) -> None:
         self.gain = float(gain)
         self.amplitude = float(amplitude)
         self.dt = float(dt)
-        self.frequencies = (
-            np.asarray(frequencies, dtype=float)
-            if frequencies is not None
-            else default_frequencies()
-        )
+        self.frequencies = default_frequencies()
         if self.amplitude < 0:
             raise ValueError("amplitude must be non-negative")
         rng = np.random.default_rng(seed)

@@ -15,14 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import optimize
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-
-from ..task import Sample
-from .base import normalize
 
 __all__ = ["GPFitError", "GaussianProcess", "expected_improvement"]
 
@@ -56,6 +52,14 @@ def _scaled_sq_dists(X: np.ndarray, Z: np.ndarray, lengthscales: np.ndarray) -> 
         - 2.0 * Xs @ Zs.T
     )
     return np.maximum(d2, 0.0)
+
+
+def _standardize(y: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(mean, scale, standardized y); a constant y keeps unit scale."""
+    y_mean = float(np.mean(y))
+    spread = float(np.std(y))
+    y_scale = spread if spread > 1e-12 else 1.0
+    return y_mean, y_scale, (y - y_mean) / y_scale
 
 
 def _matern52(r: np.ndarray, signal_var: float) -> np.ndarray:
@@ -122,6 +126,7 @@ class GaussianProcess:
     lengthscales: np.ndarray
     signal_std: float
     noise_std: float
+    incumbent: float  # best (lowest) standardized target
     _L: np.ndarray
     _alpha: np.ndarray
 
@@ -139,10 +144,7 @@ class GaussianProcess:
         """Condition on data with fixed hyperparameters (no optimisation)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
-        y_mean = float(np.mean(y))
-        spread = float(np.std(y))
-        y_scale = spread if spread > 1e-12 else 1.0
-        y_std = (y - y_mean) / y_scale
+        y_mean, y_scale, y_std = _standardize(y)
         ls = np.broadcast_to(np.asarray(lengthscales, dtype=float), (X.shape[1],)).copy()
 
         r = np.sqrt(_scaled_sq_dists(X, X, ls))
@@ -157,6 +159,7 @@ class GaussianProcess:
             lengthscales=ls,
             signal_std=float(signal_std),
             noise_std=float(noise_std),
+            incumbent=float(np.min(y_std)),
             _L=L,
             _alpha=alpha,
         )
@@ -178,11 +181,7 @@ class GaussianProcess:
         if len(y) < 1:
             raise ValueError("at least one sample required")
         dim = X.shape[1]
-
-        y_mean = float(np.mean(y))
-        spread = float(np.std(y))
-        y_scale = spread if spread > 1e-12 else 1.0
-        y_std = (y - y_mean) / y_scale
+        y_std = _standardize(y)[2]
 
         lo_ls, hi_ls = _LOG_BOUNDS["lengthscale"]
         lo_sf, hi_sf = _LOG_BOUNDS["signal_std"]
@@ -213,21 +212,13 @@ class GaussianProcess:
                 best_theta = result.x
         assert best_theta is not None
 
-        gp = cls.from_hyperparameters(
+        return cls.from_hyperparameters(
             X,
             y,
             lengthscales=np.exp(best_theta[:dim]),
             signal_std=math.exp(best_theta[dim]),
             noise_std=math.exp(best_theta[dim + 1]),
         )
-        return gp
-
-    @classmethod
-    def fit_samples(cls, samples: Sequence[Sample], warm_start=None) -> "GaussianProcess":
-        """Fit to an optimisation history: normalized settings -> objective."""
-        X = np.array([normalize(s.settings) for s in samples])
-        y = np.array([s.objective for s in samples])
-        return cls.fit(X, y, warm_start=warm_start)
 
     # -- inference ------------------------------------------------------------
 
@@ -237,11 +228,6 @@ class GaussianProcess:
             np.log(self.lengthscales),
             [math.log(self.signal_std), math.log(self.noise_std)],
         ])
-
-    @property
-    def incumbent(self) -> float:
-        """Best (lowest) standardized target."""
-        return float(np.min((self.y_raw - self.y_mean) / self.y_scale))
 
     def predict(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation, standardized units."""

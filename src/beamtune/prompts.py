@@ -43,13 +43,12 @@ PROMPT_KINDS = ("tuning", "explained", "chain_of_thought", "optimisation")
 
 SETTING_KEYS = ("Q1", "Q2", "CV", "Q3", "CH")
 
-# Display ranges matching the prompt text: k1 in 1/m^2, angles in mrad.
+# The actuator ranges as the prompts show them: k1 in 1/m^2, angles in mrad.
 DISPLAY_RANGES = {
-    "Q1": (-30.0, 30.0),
-    "Q2": (-30.0, 30.0),
-    "CV": (-6.0, 6.0),
-    "Q3": (-30.0, 30.0),
-    "CH": (-6.0, 6.0),
+    key: (low * scale, high * scale)
+    for key, scale, (low, high) in zip(
+        SETTING_KEYS, (1.0, 1.0, 1e3, 1.0, 1e3), MagnetSettings.ranges()
+    )
 }
 
 _EXCERPT_LIMIT = 500
@@ -270,7 +269,7 @@ def _classify(block: str) -> tuple[dict[str, float] | None, str | None]:
     return values, None
 
 
-def parse(response_text: str, ranges: dict[str, tuple[float, float]] | None = None):
+def parse(response_text: str):
     """Extract magnet settings from a model response.
 
     Returns :class:`ParsedSettings` when the response contains exactly one
@@ -278,7 +277,6 @@ def parse(response_text: str, ranges: dict[str, tuple[float, float]] | None = No
     Extraction looks at fenced code blocks first and falls back to bare
     brace groups only when the response has no fences at all.
     """
-    ranges = ranges or DISPLAY_RANGES
     blocks = _fenced_blocks(response_text)
     if not blocks:
         blocks = _bare_brace_groups(response_text)
@@ -302,8 +300,8 @@ def parse(response_text: str, ranges: dict[str, tuple[float, float]] | None = No
 
     raw_values, raw_block = candidates[0]
     clamped = {
-        key: not (ranges[key][0] <= raw_values[key] <= ranges[key][1])
-        for key in SETTING_KEYS
+        key: not (low <= raw_values[key] <= high)
+        for key, (low, high) in DISPLAY_RANGES.items()
     }
     settings = MagnetSettings(
         q1=raw_values["Q1"],

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from beamtune.config import load_config
+from beamtune.harness import LLMOptimizer, evaluate
 from beamtune.optics import LatticeGeometry
+from beamtune.optimizers import BayesianOptimizer, ExtremumSeeking
+from beamtune.task import TrialGeneratorConfig
 
 
 def test_defaults_load_without_file():
@@ -57,3 +62,37 @@ def test_optimizer_options():
     assert config.optimizer_options("bo")["n_init"] == 5
     assert config.optimizer_options("es")["gain"] == 16.0
     assert config.optimizer_options("unknown") == {}
+
+
+def _defaults(function) -> dict:
+    return {
+        name: parameter.default
+        for name, parameter in inspect.signature(function).parameters.items()
+    }
+
+
+def test_packaged_values_equal_library_defaults():
+    # each packaged value restates a library default; if the two differ, a
+    # run through the CLI is not the run the library builds by default
+    config = load_config()
+    for name, constructor in (("es", ExtremumSeeking), ("bo", BayesianOptimizer)):
+        defaults = _defaults(constructor)
+        for key, value in config.optimizer_options(name).items():
+            assert value == defaults[key], f"optimizers.{name}.{key}"
+
+    llm, defaults = config.llm_options(), _defaults(LLMOptimizer)
+    assert llm["window"] == defaults["window"]
+    assert llm["timeout_s"] == defaults["timeout"]
+    assert llm["second_chance_feedback"] == defaults["second_chance_feedback"]
+    assert llm["temperature"] == defaults["temperature"]
+
+    harness, defaults = config.harness_options(), _defaults(evaluate)
+    assert harness["budget"] == defaults["budget"]
+    assert harness["budget"] == _defaults(BayesianOptimizer)["budget"]
+    assert harness["seeds"] == defaults["n_seeds"]
+    assert harness["workers"] == defaults["workers"]
+    assert config.noise_sigma() == defaults["noise_sigma"]
+
+    assert config.geometry() == LatticeGeometry()
+    # canonical_trials loads the shipped fixture only for the default ranges
+    assert config.trial_generator() == TrialGeneratorConfig()

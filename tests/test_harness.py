@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,7 +27,7 @@ from beamtune.harness.cli import main as cli_main
 from beamtune.harness.report import load_summary, regenerate_csv, render_csv, summary_document
 from beamtune.llm import ScriptedBackend
 from beamtune.optics import BeamParameters
-from beamtune.optimizers import DoNothing, RandomSearch
+from beamtune.optimizers import BayesianOptimizer, DoNothing, ExtremumSeeking, RandomSearch
 from beamtune.task import MagnetSettings, Sample, make_trial
 
 VALID_RESPONSE = """```json
@@ -471,6 +474,57 @@ class TestCLI:
             "run", "--optimizer", "do-nothing", "--budget", "2",
             "--trials-fixture", str(fixture), "--out", str(tmp_path / "r2"),
         ]) == 0
+
+    @pytest.mark.parametrize("name, build", [
+        ("bo", lambda trial, seed: BayesianOptimizer(seed=seed, budget=6)),
+        ("es", lambda trial, seed: ExtremumSeeking(seed=seed)),
+        ("random", lambda trial, seed: RandomSearch(seed=seed)),
+        ("do-nothing", lambda trial, seed: DoNothing()),
+    ], ids=["bo", "es", "random", "do-nothing"])
+    def test_run_equals_library_defaults(self, tmp_path, name, build):
+        out = tmp_path / "results"
+        assert cli_main([
+            "run", "--optimizer", name, "--budget", "6", "--seeds", "1",
+            "--out", str(out),
+        ]) == 0
+        expected = evaluate(canonical_trials(), build, name, n_seeds=1, budget=6)
+        (written,) = load_summary(out)["optimizers"]
+        assert json.dumps(written, sort_keys=True) == json.dumps(
+            summary_document(expected), sort_keys=True
+        )
+
+    def test_unknown_optimizer_key_exits_with_its_name(self, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text("optimizers:\n  bo:\n    n_candidate: 512\n")
+        with pytest.raises(SystemExit, match=r"optimizers\.bo\.n_candidate"):
+            cli_main([
+                "run", "--optimizer", "bo", "--config", str(config),
+                "--out", str(tmp_path / "r"),
+            ])
+        assert not (tmp_path / "r").exists()
+
+    def test_unknown_backend_key_exits_with_its_name(self, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text("llm:\n  backends:\n    openai:\n      rate: 5\n")
+        with pytest.raises(SystemExit, match=r"llm\.backends\.openai\.rate"):
+            cli_main([
+                "run", "--optimizer", "llm", "--model", "m", "--config", str(config),
+                "--out", str(tmp_path / "r"),
+            ])
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats is only needed once a BayesianOptimizer is built
+        import beamtune
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(beamtune.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        code = "import sys, beamtune.harness.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
 
     def test_rlo_run_with_external_policy(self, tmp_path):
         out = tmp_path / "results"

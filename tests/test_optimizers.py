@@ -291,6 +291,22 @@ class TestPolicyStub:
         with pytest.raises(ValueError):
             ReinforcementPolicyOptimizer.from_spec("no-colon")
 
+    def test_from_spec_rejects_non_callable_attribute(self):
+        with pytest.raises(TypeError):
+            ReinforcementPolicyOptimizer.from_spec("math:pi")
+
+    def test_from_spec_uses_the_attribute_as_the_policy(self):
+        # loading never calls the policy, not even one that takes no arguments
+        optimizer = ReinforcementPolicyOptimizer.from_spec(
+            "test_optimizers:_policy_with_default_history"
+        )
+        history = [toy_sample(0, np.full(5, 0.2), 1.0)]
+        assert optimizer.propose(history) == history[0].settings
+
 
 def _example_policy(history):
+    return history[0].settings
+
+
+def _policy_with_default_history(history=()):
     return history[0].settings

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from beamtune.prompts import ParseFailure, ParsedSettings, parse
+from beamtune.prompts import DISPLAY_RANGES, ParseFailure, ParsedSettings, parse
 
 from conftest import read_data
 
@@ -140,6 +140,20 @@ class TestClampFlags:
         # values are kept unclamped; the task clamps on application
         assert parsed.values.q1 == 45.0
         assert parsed.values.cv == pytest.approx(-7.5e-3)
+
+    def test_display_ranges_are_the_actuator_box_in_prompt_units(self):
+        assert DISPLAY_RANGES == {
+            "Q1": (-30.0, 30.0),
+            "Q2": (-30.0, 30.0),
+            "CV": (-6.0, 6.0),
+            "Q3": (-30.0, 30.0),
+            "CH": (-6.0, 6.0),
+        }
+
+    def test_range_edges_are_not_clamped(self):
+        body = '{"Q1": 30.0, "Q2": -30.0, "CV": 6.0, "Q3": 30.0, "CH": -6.0}'
+        parsed = parse(fenced(body))
+        assert not any(parsed.clamped.values())
 
 
 class TestFailureRecord:
