@@ -3,7 +3,10 @@
 One YAML file covers lattice geometry, the trial generator ranges,
 optimizer hyperparameters, LLM backend endpoints and the noise mode. A
 user file only needs the keys it overrides; everything else comes from the
-packaged defaults. Credentials never live in config files; the API key is
+packaged defaults, and a key the defaults do not have is an error. Below
+``optimizers.<name>`` and ``llm.backends.<name>`` the keys are checked
+against the constructors that take them, and a new backend name is
+allowed. Credentials never live in config files; the API key is
 read from the ``LLM_API_KEY`` environment variable by the llm module.
 """
 
@@ -30,6 +33,29 @@ def _deep_merge(base: dict, override: dict) -> dict:
         else:
             merged[key] = value
     return merged
+
+
+# Sections whose entries are constructor keywords, checked by the harness
+# against the constructor that takes them; a new backend may be added by name.
+_CONSTRUCTOR_SECTIONS = (("optimizers",), ("llm", "backends"))
+_NEW_NAMES_ALLOWED = ("llm", "backends")
+
+
+def _unknown_keys(default: dict, override: dict, path: tuple = ()) -> list[str]:
+    """Dotted paths of the ``override`` keys that ``default`` does not have."""
+    unknown = []
+    for key, value in override.items():
+        here = (*path, key)
+        if key not in default:
+            if path != _NEW_NAMES_ALLOWED:
+                unknown.append(".".join(map(str, here)))
+        elif (
+            path not in _CONSTRUCTOR_SECTIONS
+            and isinstance(value, dict)
+            and isinstance(default[key], dict)
+        ):
+            unknown.extend(_unknown_keys(default[key], value, here))
+    return unknown
 
 
 class Config:
@@ -98,5 +124,8 @@ def load_config(path: str | Path | None = None) -> Config:
         if not isinstance(override, dict):
             raise ValueError(f"config file {path} must contain a mapping")
         override.setdefault("schema", CONFIG_SCHEMA)
+        unknown = _unknown_keys(data, override)
+        if unknown:
+            raise ValueError("unknown config key: " + ", ".join(unknown))
         data = _deep_merge(data, override)
     return Config(data)

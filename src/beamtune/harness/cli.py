@@ -55,6 +55,13 @@ PROMPT_ALIASES = {
 }
 
 
+def _load_config(args) -> Config:
+    try:
+        return load_config(args.config)
+    except ValueError as exc:  # unknown key or schema: exit naming it
+        raise SystemExit(str(exc)) from exc
+
+
 def _load_trials(args, config: Config) -> list[Trial]:
     if args.trials_fixture:
         with open(args.trials_fixture, "r", encoding="utf-8") as handle:
@@ -140,7 +147,7 @@ def _optimizer_factory(args, config: Config, budget: int):
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
+    config = _load_config(args)
     harness_options = config.harness_options()
     budget = args.budget if args.budget is not None else int(harness_options["budget"])
     n_seeds = args.seeds if args.seeds is not None else int(harness_options["seeds"])
@@ -171,7 +178,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_trials_generate(args) -> int:
-    config = load_config(args.config)
+    config = _load_config(args)
     trials = [
         make_trial(seed, config.trial_generator())
         for seed in range(args.seed, args.seed + args.count)

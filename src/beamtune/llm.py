@@ -176,7 +176,11 @@ class HttpBackend:
                 "http://localhost:11434".
     dialect:    "openai" or "ollama".
     backend_id: label recorded on responses; defaults to the dialect.
-    requests_per_minute: optional client-side rate limit.
+    requests_per_minute: optional client-side rate limit, shared by every
+                thread that uses this backend.
+    session:    one session for every thread; by default each thread
+                opens its own, since a ``requests.Session`` is not
+                documented as thread-safe.
     """
 
     def __init__(
@@ -193,9 +197,18 @@ class HttpBackend:
         self.base_url = base_url.rstrip("/")
         self.dialect = dialect
         self.backend_id = backend_id or dialect
-        self._session = session or requests.Session()
+        self._shared_session = session
+        self._thread = threading.local()
         self._sleeper = sleeper
         self._limiter = RateLimiter(requests_per_minute, sleeper=sleeper)
+
+    @property
+    def _session(self) -> requests.Session:
+        if self._shared_session is not None:
+            return self._shared_session
+        if not hasattr(self._thread, "session"):
+            self._thread.session = requests.Session()
+        return self._thread.session
 
     # -- wire formats -------------------------------------------------------
 

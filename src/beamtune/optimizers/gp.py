@@ -9,6 +9,9 @@ within fixed bounds.
 
 Cholesky factorisation failures escalate through a jitter ladder before
 raising :class:`GPFitError`.
+
+Expected improvement comes with its closed-form gradient in the inputs,
+computed from the same posterior and the same EI formula as its value.
 """
 
 from __future__ import annotations
@@ -20,7 +23,12 @@ import numpy as np
 from scipy import optimize
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-__all__ = ["GPFitError", "GaussianProcess", "expected_improvement"]
+__all__ = [
+    "GPFitError",
+    "GaussianProcess",
+    "expected_improvement",
+    "expected_improvement_and_gradient",
+]
 
 _SQRT5 = math.sqrt(5.0)
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
@@ -229,9 +237,9 @@ class GaussianProcess:
             [math.log(self.signal_std), math.log(self.noise_std)],
         ])
 
-    def predict(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and standard deviation, standardized units."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
+    def _posterior(self, U: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Scaled distances ``r``, whitened cross-covariances ``V = L^-1 k``,
+        posterior mean and standard deviation at the rows of ``U``."""
         signal_var = self.signal_std**2
         r = np.sqrt(_scaled_sq_dists(U, self.X, self.lengthscales))
         Ks = _matern52(r, signal_var)
@@ -239,7 +247,12 @@ class GaussianProcess:
         V = solve_triangular(self._L, Ks.T, lower=True)
         var = signal_var - np.sum(V**2, axis=0)
         var = np.where(var < _VARIANCE_FLOOR_FRACTION * signal_var, 0.0, var)
-        return mean, np.sqrt(np.maximum(var, 0.0))
+        return r, V, mean, np.sqrt(np.maximum(var, 0.0))
+
+    def predict(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and standard deviation, standardized units."""
+        _, _, mean, std = self._posterior(np.atleast_2d(np.asarray(U, dtype=float)))
+        return mean, std
 
     def predict_raw(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation in objective units."""
@@ -257,20 +270,58 @@ def _standard_normal_cdf(z: np.ndarray) -> np.ndarray:
     return ndtr(z)
 
 
-def expected_improvement(gp: GaussianProcess, U: np.ndarray) -> np.ndarray:
-    """EI below the incumbent (minimisation form), standardized units.
+def _ei(improvement: np.ndarray, std: np.ndarray) -> tuple[np.ndarray, ...]:
+    """EI from the improvement ``incumbent - mean`` and the posterior std,
+    with its partial derivatives in the mean and in the std.
 
     Points with vanishing posterior uncertainty score their deterministic
-    improvement, which is zero at an already-observed incumbent.
+    improvement, which is zero at an already-observed incumbent; wherever
+    EI is zero both partials are zero.
     """
-    mean, std = gp.predict(U)
-    best = gp.incumbent
-    improvement = best - mean
+    uncertain = std > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(std > 0, improvement / std, 0.0)
+        z = np.where(uncertain, improvement / std, 0.0)
+    cdf = _standard_normal_cdf(z)
+    pdf = _standard_normal_pdf(z)
     ei = np.where(
-        std > 0,
-        improvement * _standard_normal_cdf(z) + std * _standard_normal_pdf(z),
+        uncertain,
+        improvement * cdf + std * pdf,
         np.maximum(improvement, 0.0),
     )
-    return np.maximum(ei, 0.0)
+    ei = np.maximum(ei, 0.0)
+    positive = ei > 0
+    d_mean = np.where(positive, np.where(uncertain, -cdf, -1.0), 0.0)
+    d_std = np.where(positive & uncertain, pdf, 0.0)
+    return ei, d_mean, d_std
+
+
+def expected_improvement(gp: GaussianProcess, U: np.ndarray) -> np.ndarray:
+    """EI below the incumbent (minimisation form), standardized units."""
+    mean, std = gp.predict(U)
+    return _ei(gp.incumbent - mean, std)[0]
+
+
+def expected_improvement_and_gradient(
+    gp: GaussianProcess, U: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """EI at the rows of ``U`` (equal to :func:`expected_improvement`) and
+    its gradient in ``U``, shape ``(len(U), dim)``.
+
+    grad EI = dEI/dmean * grad mean + dEI/dstd * grad std, with
+    grad mean = J^T alpha and grad std = -J^T K^-1 k / std, where
+    J = dk(u, X)/du is the Matern-5/2 kernel's closed form
+    -(5/3) s^2 (1 + sqrt5 r) exp(-sqrt5 r) (u - x) / l^2.
+    """
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    r, V, mean, std = gp._posterior(U)
+    ei, d_mean, d_std = _ei(gp.incumbent - mean, std)
+
+    # (N, n) radial factor times (N, n, dim) scaled offsets = J per row of U
+    radial = -(5.0 / 3.0) * gp.signal_std**2 * (1.0 + _SQRT5 * r) * np.exp(-_SQRT5 * r)
+    offsets = (U[:, None, :] - gp.X[None, :, :]) / gp.lengthscales**2
+    grad_mean = np.einsum("ij,ijd->id", radial * gp._alpha, offsets)
+    Kinv_k = solve_triangular(gp._L, V, lower=True, trans="T")  # (n, N)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(std > 0, -1.0 / std, 0.0)
+    grad_std = np.einsum("ij,ijd->id", radial * Kinv_k.T, offsets) * scale[:, None]
+    return ei, d_mean[:, None] * grad_mean + d_std[:, None] * grad_std

@@ -50,6 +50,42 @@ def test_backend_options_lookup():
         config.backend_options("missing")
 
 
+def test_unknown_override_keys_rejected_by_dotted_path(tmp_path):
+    from beamtune.harness.cli import main as cli_main
+
+    path = tmp_path / "typos.yaml"
+    path.write_text("lattice:\n  scren: 3.0\nharness:\n  worker: 2\nllm:\n  windw: 10\n")
+    with pytest.raises(ValueError, match="lattice.scren, harness.worker, llm.windw"):
+        load_config(path)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["run", "--optimizer", "do-nothing", "--config", str(path),
+                  "--out", str(tmp_path / "r")])
+    assert isinstance(exit_info.value.code, str)  # exits with status 1
+    for key in ("lattice.scren", "harness.worker", "llm.windw"):
+        assert key in exit_info.value.code
+    assert not (tmp_path / "r").exists()
+
+
+def test_unknown_optimizer_section_rejected(tmp_path):
+    path = tmp_path / "typo.yaml"
+    path.write_text("optimizers:\n  bayes:\n    n_init: 3\n")
+    with pytest.raises(ValueError, match=r"optimizers\.bayes\b"):
+        load_config(path)
+
+
+def test_new_backend_name_allowed(tmp_path):
+    # keys below optimizers.<name> and llm.backends.<name> are checked by
+    # the constructors that take them, when a run builds one
+    path = tmp_path / "backend.yaml"
+    path.write_text(
+        "llm:\n  backends:\n    local:\n      dialect: ollama\n"
+        "      base_url: http://127.0.0.1:8080\n"
+        "optimizers:\n  bo:\n    n_candidate: 512\n"
+    )
+    config = load_config(path)
+    assert config.backend_options("local")["dialect"] == "ollama"
+
+
 def test_wrong_schema_rejected(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("schema: something/else\n")

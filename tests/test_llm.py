@@ -91,6 +91,37 @@ def _request(**overrides) -> ChatRequest:
     return ChatRequest(**values)
 
 
+class TestThreads:
+    def test_one_session_per_thread_and_one_limiter(self, server):
+        script, url = server
+        backend = HttpBackend(url, requests_per_minute=6000)
+        sessions, limiters = [], []
+
+        def worker():
+            chat(backend, _request())
+            sessions.append(backend._session)
+            limiters.append(backend._limiter)
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert len(script.seen) == 2
+        assert len(sessions) == 2 and sessions[0] is not sessions[1]
+        assert limiters[0] is limiters[1]
+
+    def test_injected_session_is_shared(self):
+        shared = object()
+        backend = HttpBackend("http://127.0.0.1:9", session=shared)
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(backend._session))
+        thread.start()
+        thread.join(timeout=30)
+        assert seen == [shared] and backend._session is shared
+
+
 class TestOpenAIDialect:
     def test_round_trip(self, server, monkeypatch):
         script, url = server

@@ -8,6 +8,7 @@ and the 5-D sphere.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from beamtune.optimizers import (
     expected_improvement,
 )
 from beamtune.optimizers.base import box_bounds, denormalize, normalize
-from beamtune.optimizers.gp import GPFitError
+from beamtune.optimizers.gp import GPFitError, expected_improvement_and_gradient
 from beamtune.optimizers.extremum_seeking import default_frequencies
 from beamtune.task import Sample
 
@@ -219,6 +220,59 @@ class TestExpectedImprovement:
         assert after <= before + 1e-6
 
 
+class TestExpectedImprovementGradient:
+    @pytest.fixture(scope="class")
+    def gp(self) -> GaussianProcess:
+        rng = np.random.default_rng(4)
+        X = rng.uniform(-1, 1, size=(24, 5))
+        y = np.sum(X**2, axis=1) + 0.3 * np.sin(3.0 * X[:, 0])
+        return GaussianProcess.fit(X, y)
+
+    @staticmethod
+    def _central_differences(function, U: np.ndarray, h: float = 1e-5) -> np.ndarray:
+        steps = np.eye(U.shape[1]) * h
+        return np.stack(
+            [(function(U + e) - function(U - e)) / (2.0 * h) for e in steps], axis=1
+        )
+
+    def test_matches_central_differences(self, gp):
+        U = np.random.default_rng(5).uniform(-1, 1, size=(64, 5))
+        _, grad = expected_improvement_and_gradient(gp, U)
+        numeric = self._central_differences(lambda V: expected_improvement(gp, V), U)
+        assert np.abs(grad).max() > 1e-3
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-6 * np.abs(grad).max())
+
+    def test_values_equal_expected_improvement_exactly(self, gp):
+        U = np.random.default_rng(6).uniform(-1, 1, size=(64, 5))
+        ei, _ = expected_improvement_and_gradient(gp, U)
+        assert np.array_equal(ei, expected_improvement(gp, U))
+
+    def test_zero_where_ei_is_zero(self, gp):
+        # an incumbent far below the posterior makes EI underflow to 0
+        hopeless = dataclasses.replace(gp, incumbent=gp.incumbent - 50.0)
+        U = np.random.default_rng(7).uniform(-1, 1, size=(32, 5))
+        ei, grad = expected_improvement_and_gradient(hopeless, U)
+        assert np.all(ei == 0.0)
+        assert np.all(grad == 0.0)
+
+    def test_variance_floor_branch(self, gp):
+        noiseless = GaussianProcess.from_hyperparameters(
+            gp.X, gp.y_raw, lengthscales=gp.lengthscales, signal_std=gp.signal_std,
+            noise_std=0.0,
+        )
+        assert np.all(noiseless.predict(gp.X)[1] == 0.0)
+        ei, grad = expected_improvement_and_gradient(noiseless, gp.X)
+        assert np.all(np.isfinite(grad))
+        assert np.all(ei == 0.0) and np.all(grad == 0.0)  # nothing beats the data
+        # with an incumbent above every observation, EI at an observed point is
+        # its deterministic improvement, whose gradient is -grad(mean)
+        raised = dataclasses.replace(noiseless, incumbent=noiseless.incumbent + 10.0)
+        ei, grad = expected_improvement_and_gradient(raised, gp.X)
+        assert np.all(ei > 0.0)
+        mean_grad = self._central_differences(lambda V: raised.predict(V)[0], gp.X)
+        np.testing.assert_allclose(grad, -mean_grad, rtol=1e-5, atol=1e-6 * np.abs(grad).max())
+
+
 class TestBayesianOptimizer:
     def test_initial_design_inside_box(self):
         optimizer = BayesianOptimizer(seed=0)
@@ -238,6 +292,38 @@ class TestBayesianOptimizer:
             history = drive(optimizer, sphere, np.full(5, 0.4), 8)
             seqs.append([s.settings for s in history])
         assert seqs[0] == seqs[1]
+
+    def test_refined_proposal_beats_best_candidate(self):
+        history = drive(BayesianOptimizer(seed=3), sphere, np.full(5, 0.4), 6)
+        optimizer = BayesianOptimizer(seed=3)  # no warm start, like the fit below
+        proposal = optimizer.propose(history)
+        low, high = box_bounds()
+        values = np.array(proposal.as_tuple())
+        assert np.all(values >= low) and np.all(values <= high)
+        X = np.array([normalize(s.settings) for s in history])
+        gp = GaussianProcess.fit(X, np.array([s.objective for s in history]))
+        best_candidate = expected_improvement(gp, optimizer._candidates(len(history))).max()
+        assert expected_improvement(gp, normalize(proposal)[None, :])[0] >= best_candidate
+
+    def test_one_refinement_per_surrogate_step(self, monkeypatch):
+        # the starts are refined together, never one minimize call each
+        import beamtune.optimizers.bayesian as bayesian
+
+        sizes = []
+        minimize = bayesian.optimize.minimize
+
+        def counting(function, x0, **kwargs):
+            sizes.append(np.size(x0))
+            return minimize(function, x0, **kwargs)
+
+        def fixed_fit(X, y, warm_start=None):  # the fit's own minimize calls
+            return GaussianProcess.from_hyperparameters(X, y, 0.5, 1.0, 0.01)
+
+        monkeypatch.setattr(GaussianProcess, "fit", fixed_fit)
+        monkeypatch.setattr(bayesian.optimize, "minimize", counting)
+        optimizer = BayesianOptimizer(seed=3)
+        drive(optimizer, sphere, np.full(5, 0.4), 8)  # history sizes 5..8 use the GP
+        assert sizes == [optimizer.n_refine * 5] * 4
 
     def test_proposals_always_finite(self):
         optimizer = BayesianOptimizer(seed=1)
