@@ -3,11 +3,10 @@
 One YAML file covers lattice geometry, the trial generator ranges,
 optimizer hyperparameters, LLM backend endpoints and the noise mode. A
 user file only needs the keys it overrides; everything else comes from the
-packaged defaults, and a key the defaults do not have is an error. Below
-``optimizers.<name>`` and ``llm.backends.<name>`` the keys are checked
-against the constructors that take them, and a new backend name is
-allowed. Credentials never live in config files; the API key is
-read from the ``LLM_API_KEY`` environment variable by the llm module.
+packaged defaults, and a key the defaults do not have is an error, except
+a new backend name under ``llm.backends``. Credentials never live in config
+files; the API key is read from the ``LLM_API_KEY`` environment variable by
+the llm module.
 """
 
 from __future__ import annotations
@@ -35,9 +34,8 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
-# Sections whose entries are constructor keywords, checked by the harness
-# against the constructor that takes them; a new backend may be added by name.
-_CONSTRUCTOR_SECTIONS = (("optimizers",), ("llm", "backends"))
+# A new LLM backend may be added by name; its keys are checked by the
+# harness against the backend's constructor.
 _NEW_NAMES_ALLOWED = ("llm", "backends")
 
 
@@ -49,11 +47,7 @@ def _unknown_keys(default: dict, override: dict, path: tuple = ()) -> list[str]:
         if key not in default:
             if path != _NEW_NAMES_ALLOWED:
                 unknown.append(".".join(map(str, here)))
-        elif (
-            path not in _CONSTRUCTOR_SECTIONS
-            and isinstance(value, dict)
-            and isinstance(default[key], dict)
-        ):
+        elif isinstance(value, dict) and isinstance(default[key], dict):
             unknown.extend(_unknown_keys(default[key], value, here))
     return unknown
 

@@ -124,19 +124,20 @@ class BayesianOptimizer:
             values, grad = expected_improvement_and_gradient(gp, flat.reshape(starts.shape))
             return -float(np.sum(values)), -grad.ravel()
 
-        result = optimize.minimize(
-            negative_total_ei,
-            starts.ravel(),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(-1.0, 1.0)] * starts.size,
-            options={"maxiter": 30 * len(starts)},
-        )
-        refined = np.clip(result.x.reshape(starts.shape), -1.0, 1.0)
-        refined_ei = expected_improvement_and_gradient(gp, refined)[0]
-        top = int(np.argmax(refined_ei))
-        if refined_ei[top] > best_ei:
-            best_u = refined[top]
+        if len(starts):
+            result = optimize.minimize(
+                negative_total_ei,
+                starts.ravel(),
+                jac=True,
+                method="L-BFGS-B",
+                bounds=[(-1.0, 1.0)] * starts.size,
+                options={"maxiter": 30 * len(starts)},
+            )
+            refined = np.clip(result.x.reshape(starts.shape), -1.0, 1.0)
+            refined_ei = expected_improvement(gp, refined)
+            top = int(np.argmax(refined_ei))
+            if refined_ei[top] > best_ei:
+                best_u = refined[top]
 
         if not np.all(np.isfinite(best_u)):
             self.fallback_steps.append(n)

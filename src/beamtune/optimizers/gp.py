@@ -316,12 +316,13 @@ def expected_improvement_and_gradient(
     r, V, mean, std = gp._posterior(U)
     ei, d_mean, d_std = _ei(gp.incumbent - mean, std)
 
-    # (N, n) radial factor times (N, n, dim) scaled offsets = J per row of U
+    # J[i, j] = dk(U[i], X[j]) / dU[i], shape (N, n, dim)
     radial = -(5.0 / 3.0) * gp.signal_std**2 * (1.0 + _SQRT5 * r) * np.exp(-_SQRT5 * r)
     offsets = (U[:, None, :] - gp.X[None, :, :]) / gp.lengthscales**2
-    grad_mean = np.einsum("ij,ijd->id", radial * gp._alpha, offsets)
+    J = radial[:, :, None] * offsets
+    grad_mean = np.einsum("ijd,j->id", J, gp._alpha)
     Kinv_k = solve_triangular(gp._L, V, lower=True, trans="T")  # (n, N)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(std > 0, -1.0 / std, 0.0)
-    grad_std = np.einsum("ij,ijd->id", radial * Kinv_k.T, offsets) * scale[:, None]
+    grad_std = np.einsum("ijd,ji->id", J, Kinv_k) * scale[:, None]
     return ei, d_mean[:, None] * grad_mean + d_std[:, None] * grad_std

@@ -74,16 +74,26 @@ def test_unknown_optimizer_section_rejected(tmp_path):
 
 
 def test_new_backend_name_allowed(tmp_path):
-    # keys below optimizers.<name> and llm.backends.<name> are checked by
-    # the constructors that take them, when a run builds one
+    # a new backend's keys are checked by HttpBackend when a run builds it
     path = tmp_path / "backend.yaml"
     path.write_text(
         "llm:\n  backends:\n    local:\n      dialect: ollama\n"
         "      base_url: http://127.0.0.1:8080\n"
-        "optimizers:\n  bo:\n    n_candidate: 512\n"
     )
     config = load_config(path)
     assert config.backend_options("local")["dialect"] == "ollama"
+
+
+def test_unknown_keys_below_packaged_sections_rejected(tmp_path):
+    path = tmp_path / "typos.yaml"
+    path.write_text(
+        "optimizers:\n  bo:\n    n_candidate: 512\n"
+        "llm:\n  backends:\n    openai:\n      rate: 5\n"
+    )
+    with pytest.raises(
+        ValueError, match=r"optimizers\.bo\.n_candidate, llm\.backends\.openai\.rate"
+    ):
+        load_config(path)
 
 
 def test_wrong_schema_rejected(tmp_path):

@@ -325,6 +325,16 @@ class TestBayesianOptimizer:
         drive(optimizer, sphere, np.full(5, 0.4), 8)  # history sizes 5..8 use the GP
         assert sizes == [optimizer.n_refine * 5] * 4
 
+    def test_no_refinement_proposes_best_candidate(self):
+        history = drive(BayesianOptimizer(seed=3), sphere, np.full(5, 0.4), 6)
+        optimizer = BayesianOptimizer(seed=3, n_refine=0)
+        proposal = optimizer.propose(history)
+        X = np.array([normalize(s.settings) for s in history])
+        gp = GaussianProcess.fit(X, np.array([s.objective for s in history]))
+        candidates = optimizer._candidates(len(history))
+        best = candidates[np.argmax(expected_improvement(gp, candidates))]
+        assert proposal == denormalize(best)
+
     def test_proposals_always_finite(self):
         optimizer = BayesianOptimizer(seed=1)
         history = drive(optimizer, sphere, np.full(5, 0.3), 12)
