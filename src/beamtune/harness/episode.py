@@ -50,7 +50,7 @@ class Attempt:
     prompt: str
     response: str | None  # None when transport failed
     parsed: bool
-    failure_reason: str | None
+    failure_reason: str | None  # parse failure, or the transport error's class
     latency: float
 
 
@@ -140,8 +140,9 @@ class LLMOptimizer:
         for attempt_index in (1, 2):
             try:
                 text, latency = self._call(prompt)
-            except TransportError:
-                attempts.append(Attempt(step, attempt_index, prompt, None, False, None, 0.0))
+            except TransportError as exc:
+                reason = type(exc).__name__
+                attempts.append(Attempt(step, attempt_index, prompt, None, False, reason, 0.0))
                 return None, attempts, "transport_failure"
             outcome = parse(text)
             if isinstance(outcome, ParsedSettings):

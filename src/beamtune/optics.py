@@ -10,13 +10,21 @@ Vector  v = (x, x', y, y')
   y'  [rad]  vertical slope dy/ds
 
 A beam is carried as first and second moments only: a 4-vector mean and a
-4x4 covariance matrix. All linear elements act as affine maps
+4x4 covariance matrix. The section has no x-y coupling, so each element
+acts on each plane (u, u') separately, as a 2x2 block M and an offset o:
+
+    (u, u')_out = M @ (u, u')_in + o
+
+``track`` composes the elements of each plane into one block and offset
+and applies the block-diagonal result R = diag(M_x, M_y), d = (o_x, o_y)
+once:
 
     v_out = R @ v_in + d
     Sigma_out = R @ Sigma_in @ R.T
 
-so Gaussian beams stay Gaussian and the screen observables (centroid and
-RMS size per plane) are exact, with no particle sampling.
+so Gaussian beams stay Gaussian, an incoming covariance that couples the
+planes is carried exactly, and the screen observables (centroid and RMS
+size per plane) are exact, with no particle sampling.
 
 Sign conventions
 ----------------
@@ -27,7 +35,8 @@ defocuses in y; k1 < 0 swaps the planes.
 
 Element misalignments are exact transverse frame shifts: a beam entering a
 displaced quadrupole on the displaced axis sees no kick, while an on-axis
-beam picks up the feed-down steering d = (I - R) @ (dx, 0, dy, 0).
+beam picks up the feed-down steering o = (I - M) @ (offset, 0) in each
+plane, with offset dx in x and dy in y.
 
 Units are SI throughout this module (m, rad); only the screen readout
 converts to millimetres.
@@ -41,20 +50,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "AffineMap",
     "BeamParameters",
     "Lattice",
     "LatticeGeometry",
     "OpticsError",
     "TransverseState",
-    "corrector_map",
-    "drift_map",
-    "quad_map",
+    "quad_blocks",
     "read_screen",
     "track",
 ]
 
-# Below this |k1| the quadrupole map is evaluated as its k -> 0 series to
+# Below this |k1| the quadrupole blocks are evaluated as its k -> 0 series to
 # avoid catastrophic cancellation in sin(sqrt(k) L)/sqrt(k).
 _K1_SERIES_THRESHOLD = 1e-10
 
@@ -124,113 +130,84 @@ class BeamParameters:
 
 
 # ---------------------------------------------------------------------------
-# Affine transfer maps
+# Per-plane transfer blocks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineMap:
-    """First-order transfer map v -> R @ v + d."""
-
-    R: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "R", np.asarray(self.R, dtype=float).reshape(4, 4))
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=float).reshape(4))
-
-    @classmethod
-    def identity(cls) -> "AffineMap":
-        return cls(np.eye(4), np.zeros(4))
-
-    def compose(self, first: "AffineMap") -> "AffineMap":
-        """Map applying `first`, then `self`."""
-        return AffineMap(self.R @ first.R, self.R @ first.d + self.d)
-
-    def apply(self, state: TransverseState) -> TransverseState:
-        mean = self.R @ state.mean + self.d
-        cov = self.R @ state.covariance @ self.R.T
-        cov = 0.5 * (cov + cov.T)  # re-symmetrise rounding residue
-        return TransverseState(mean, cov)
+def _drift_block(length: float) -> np.ndarray:
+    return np.array([[1.0, length], [0.0, 1.0]])
 
 
-def drift_map(length: float) -> AffineMap:
-    """Field-free drift of the given length."""
-    if not math.isfinite(length) or length < 0:
-        raise OpticsError(f"invalid drift length {length!r}")
-    R = np.eye(4)
-    R[0, 1] = length
-    R[2, 3] = length
-    return AffineMap(R, np.zeros(4))
+def quad_blocks(k1: float, length: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) 2x2 transfer blocks of a thick quadrupole.
 
-
-def _quad_plane_blocks(k1: float, length: float) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 blocks (focusing plane, defocusing plane) for gradient k1 > 0.
+    ``k1`` [1/m^2] > 0 focuses in x and defocuses in y; k1 < 0 swaps the
+    planes. With p = sqrt(|k1|) * length [m]:
 
     Focusing:   [[cos p,        sin p / sqrt(k)], [-sqrt(k) sin p, cos p]]
     Defocusing: [[cosh p,      sinh p / sqrt(k)], [ sqrt(k) sinh p, cosh p]]
-    with p = sqrt(k) * length.
     """
-    kr = math.sqrt(k1)
+    if not (math.isfinite(k1) and math.isfinite(length)) or length <= 0:
+        raise OpticsError(f"invalid quadrupole parameters k1={k1!r}, length={length!r}")
+    if abs(k1) < _K1_SERIES_THRESHOLD:
+        return _drift_block(length), _drift_block(length)
+    kr = math.sqrt(abs(k1))
     p = kr * length
     foc = np.array([[math.cos(p), math.sin(p) / kr],
                     [-kr * math.sin(p), math.cos(p)]])
     defoc = np.array([[math.cosh(p), math.sinh(p) / kr],
                       [kr * math.sinh(p), math.cosh(p)]])
-    return foc, defoc
+    return (foc, defoc) if k1 > 0 else (defoc, foc)
 
 
-def quad_map(
-    k1: float,
-    length: float,
-    misalignment: tuple[float, float] = (0.0, 0.0),
-) -> AffineMap:
-    """Thick quadrupole of strength ``k1`` [1/m^2] and the given length [m].
+# A plane element is (block, offset in position, offset in slope): it maps
+# (u, u') to block @ (u, u') + offset.
 
-    k1 > 0 focuses in x and defocuses in y; k1 < 0 swaps the planes. A
-    transverse misalignment (dx, dy) [m] shifts the magnetic axis, adding
-    the feed-down offset d = (I - R) @ (dx, 0, dy, 0) so that a beam
-    travelling along the displaced axis is untouched.
+def _drift(length: float):
+    """(x, y) elements of a field-free drift."""
+    if not math.isfinite(length) or length < 0:
+        raise OpticsError(f"invalid drift length {length!r}")
+    element = (_drift_block(length), 0.0, 0.0)
+    return element, element
+
+
+def _quad(k1: float, length: float, misalignment: tuple[float, float]):
+    """(x, y) elements of a quadrupole whose axis is displaced by (dx, dy).
+
+    The feed-down offset (I - block) @ (axis, 0) leaves a beam travelling
+    along the displaced axis untouched.
     """
-    if not (math.isfinite(k1) and math.isfinite(length)) or length <= 0:
-        raise OpticsError(f"invalid quadrupole parameters k1={k1!r}, length={length!r}")
-    dx, dy = misalignment
-    if not (math.isfinite(dx) and math.isfinite(dy)):
-        raise OpticsError("non-finite quadrupole misalignment")
-
-    R = np.eye(4)
-    if abs(k1) < _K1_SERIES_THRESHOLD:
-        R[0, 1] = length
-        R[2, 3] = length
-    elif k1 > 0:
-        foc, defoc = _quad_plane_blocks(k1, length)
-        R[0:2, 0:2] = foc
-        R[2:4, 2:4] = defoc
-    else:
-        foc, defoc = _quad_plane_blocks(-k1, length)
-        R[0:2, 0:2] = defoc
-        R[2:4, 2:4] = foc
-
-    axis = np.array([dx, 0.0, dy, 0.0])
-    d = (np.eye(4) - R) @ axis
-    return AffineMap(R, d)
+    return tuple(
+        (block, (1.0 - block[0, 0]) * axis, -block[1, 0] * axis)
+        for block, axis in zip(quad_blocks(k1, length), misalignment)
+    )
 
 
-def corrector_map(angle: float, plane: str) -> AffineMap:
-    """Thin steering kick of ``angle`` [rad] in the given plane.
-
-    plane="horizontal" adds the angle to x' (positive steers right);
-    plane="vertical" adds it to y' (positive steers up).
-    """
+def _kick(angle: float):
+    """Thin corrector element adding ``angle`` [rad] to the slope."""
     if not math.isfinite(angle):
         raise OpticsError(f"non-finite corrector angle {angle!r}")
-    d = np.zeros(4)
-    if plane == "horizontal":
-        d[1] = angle
-    elif plane == "vertical":
-        d[3] = angle
-    else:
-        raise OpticsError(f"unknown corrector plane {plane!r}")
-    return AffineMap(np.eye(4), d)
+    return (np.eye(2), 0.0, angle)
+
+
+def _compose(elements) -> tuple[np.ndarray, float, float]:
+    """One plane's elements, in beam order, as one block and offset.
+
+    Blocks compose by numpy ``@`` on 2x2 arrays (the BLAS dgemm) and
+    offsets as two-term scalar sums. This rounds exactly as composing
+    block-diagonal 4x4 maps with 4-vector offsets does, so tracking results
+    are the same bits as that formulation's; tuning episodes are chaotic in
+    the last bits of a measurement. A 2-vector ``block @ offset`` rounds
+    differently.
+    """
+    matrix = np.eye(2)
+    u = slope = 0.0
+    for block, e_u, e_slope in elements:
+        matrix = block @ matrix
+        u, slope = (
+            block[0, 0] * u + block[0, 1] * slope + e_u,
+            block[1, 0] * u + block[1, 1] * slope + e_slope,
+        )
+    return matrix, u, slope
 
 
 # ---------------------------------------------------------------------------
@@ -306,27 +283,9 @@ class Lattice:
     def __post_init__(self) -> None:
         if len(self.quad_misalignments) != 3:
             raise OpticsError("exactly three quadrupole misalignments required")
-
-    def element_maps(
-        self, q1: float, q2: float, cv: float, q3: float, ch: float
-    ) -> list[AffineMap]:
-        """Element maps in beam order for the given magnet strengths."""
-        g = self.geometry
-        d = g.drift_lengths()
-        m = self.quad_misalignments
-        return [
-            drift_map(d[0]),
-            quad_map(q1, g.quad_length, m[0]),
-            drift_map(d[1]),
-            quad_map(q2, g.quad_length, m[1]),
-            drift_map(d[2]),
-            corrector_map(cv, "vertical"),
-            drift_map(d[3]),
-            quad_map(q3, g.quad_length, m[2]),
-            drift_map(d[4]),
-            corrector_map(ch, "horizontal"),
-            drift_map(d[5]),
-        ]
+        for dx, dy in self.quad_misalignments:
+            if not (math.isfinite(dx) and math.isfinite(dy)):
+                raise OpticsError("non-finite quadrupole misalignment")
 
 
 def track(lattice: Lattice, settings, incoming: TransverseState) -> TransverseState:
@@ -336,12 +295,32 @@ def track(lattice: Lattice, settings, incoming: TransverseState) -> TransverseSt
     (see :class:`beamtune.task.MagnetSettings`); callers are responsible for
     clamping to actuator ranges first.
     """
-    combined = AffineMap.identity()
-    maps = lattice.element_maps(settings.q1, settings.q2, settings.cv,
-                                settings.q3, settings.ch)
-    for element in maps:
-        combined = element.compose(combined)
-    return combined.apply(incoming)
+    g = lattice.geometry
+    d = [_drift(length) for length in g.drift_lengths()]
+    m = lattice.quad_misalignments
+    elements = [  # (x, y) element pairs in beam order
+        d[0],
+        _quad(settings.q1, g.quad_length, m[0]),
+        d[1],
+        _quad(settings.q2, g.quad_length, m[1]),
+        d[2],
+        (_kick(0.0), _kick(settings.cv)),
+        d[3],
+        _quad(settings.q3, g.quad_length, m[2]),
+        d[4],
+        (_kick(settings.ch), _kick(0.0)),
+        d[5],
+    ]
+    x_block, x_u, x_slope = _compose(x for x, _ in elements)
+    y_block, y_u, y_slope = _compose(y for _, y in elements)
+
+    R = np.zeros((4, 4))
+    R[:2, :2] = x_block
+    R[2:, 2:] = y_block
+    mean = R @ incoming.mean + np.array([x_u, x_slope, y_u, y_slope])
+    cov = R @ incoming.covariance @ R.T
+    cov = 0.5 * (cov + cov.T)  # re-symmetrise rounding residue
+    return TransverseState(mean, cov)
 
 
 def read_screen(

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import requests
 import yaml
 
 from beamtune.fixtures import CANONICAL_SEEDS, canonical_trials, generate_canonical_trials
@@ -25,7 +26,7 @@ from beamtune.harness import (
 )
 from beamtune.harness.cli import main as cli_main
 from beamtune.harness.report import load_summary, regenerate_csv, render_csv, summary_document
-from beamtune.llm import ScriptedBackend
+from beamtune.llm import HttpBackend, ScriptedBackend
 from beamtune.optics import BeamParameters
 from beamtune.optimizers import BayesianOptimizer, DoNothing, ExtremumSeeking, RandomSearch
 from beamtune.task import MagnetSettings, Sample, make_trial
@@ -93,6 +94,7 @@ class TestEpisode:
         record = run_episode(trial, optimizer, budget=50)
         assert record.termination == "transport_failure"
         assert record.steps_taken == 3
+        assert record.transcripts[-1].failure_reason == "ScriptExhausted"
 
     def test_second_chance_resends_identical_prompt(self):
         trial = make_trial(2)
@@ -414,6 +416,15 @@ class TestEvaluateAndReport:
         assert any(v != 0.0 for v in improvements)
         assert all(abs(v) < 20.0 for v in improvements)  # 20 um on mm-scale MAE
 
+    def test_es_competent_in_noise_mode(self):
+        # criterion 6's ES thresholds, with 20 um screen-position noise;
+        # BO's noise-mode suite takes about a minute, so it is not run here
+        summary = evaluate(canonical_trials(), lambda t, s: ExtremumSeeking(seed=s), "es",
+                           noise_sigma=2e-5)
+        mean_improvement = summary.aggregates["normalized_improvement_pct"][0]
+        assert summary.total_runs == 9
+        assert summary.successes >= 7 and mean_improvement <= -40.0
+
     def test_suite_bit_reproducible_with_fixed_script(self):
         trials = canonical_trials()[:2]
         responses = [VALID_RESPONSE, INVALID_RESPONSE, VALID_RESPONSE] * 20
@@ -426,6 +437,68 @@ class TestEvaluateAndReport:
             summary = evaluate(trials, factory, "llm-scripted", n_seeds=2, budget=10)
             docs.append(json.dumps(summary_document(summary), sort_keys=True))
         assert docs[0] == docs[1]
+
+
+class _FakeReply:
+    def __init__(self, status_code: int, body):
+        self.status_code = status_code
+        self._body = body
+
+    def json(self):
+        if isinstance(self._body, str):
+            raise json.JSONDecodeError("Expecting value", self._body, 0)
+        return self._body
+
+
+class _FakeSession:
+    """Plays back one scripted outcome per POST: a status and body, or an exception."""
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+
+    def post(self, url, **kwargs):
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return _FakeReply(*outcome)
+
+
+class TestFaultInjection:
+    def test_transport_faults_mid_suite(self, tmp_path):
+        budget, k = 5, 3
+        ok = (200, {"choices": [{"message": {"content": VALID_RESPONSE}}]})
+        session = _FakeSession(
+            [ok, (429, {}), (503, {}), ok, ok, ok, ok]  # run 1 recovers
+            + [ok] * (k - 1) + [requests.Timeout()] * 3  # run 2 times out at step k
+            + [(200, "<html>bad gateway</html>")]  # run 3 gets a non-JSON body
+        )
+        sleeps = []
+        backend = HttpBackend("http://fake", session=session, sleeper=sleeps.append)
+
+        def factory(trial, seed):
+            return LLMOptimizer(backend, "fake-model", "optimisation", trial.target,
+                                temperature=0.0)
+
+        trials = canonical_trials()
+        summary = evaluate(trials, factory, "llm-fake", n_seeds=1, budget=budget)
+        first, second, third = summary.records
+
+        assert [(r.trial_id, r.seed) for r in summary.records] == [
+            (t.trial_id, 0) for t in trials
+        ]
+        assert first.termination == "budget_exhausted"
+        assert first.model_calls == first.steps_taken == budget
+        assert second.termination == "transport_failure"
+        assert second.steps_taken == k - 1
+        assert second.transcripts[-1].failure_reason == "BackendTimeout"
+        assert third.termination == "transport_failure"
+        assert third.steps_taken == 0
+        assert third.transcripts[-1].failure_reason == "MalformedReplyError"
+        assert session.outcomes == [] and sleeps == [0.5, 1.0, 0.5, 1.0]
+
+        paths = write_outputs([summary], tmp_path)
+        assert load_summary(tmp_path)["optimizers"][0]["optimizer_id"] == "llm-fake"
+        assert len(list(paths["runs_dir"].glob("*.jsonl"))) == 3
 
 
 class TestFixtures:

@@ -2,8 +2,8 @@
 
 Strategy
 --------
-1. Transfer maps against closed forms and an independent RK4 integration
-   of the paraxial equations x'' = -k1 x, y'' = +k1 y.
+1. Per-plane quadrupole blocks against closed forms and an independent RK4
+   integration of the paraxial equations x'' = -k1 x, y'' = +k1 y.
 2. Symplecticity (per-plane determinant 1) across the full k1 range.
 3. Misalignment feed-down identities (frame shift).
 4. Tracking: affinity in the incoming mean, covariance stays symmetric PSD.
@@ -18,14 +18,11 @@ import numpy as np
 import pytest
 
 from beamtune.optics import (
-    AffineMap,
     LatticeGeometry,
     Lattice,
     OpticsError,
     TransverseState,
-    corrector_map,
-    drift_map,
-    quad_map,
+    quad_blocks,
     read_screen,
     track,
 )
@@ -35,7 +32,7 @@ from beamtune.task import MagnetSettings
 def rk4_quad_plane(k1: float, length: float, n_steps: int = 4000) -> np.ndarray:
     """2x2 map of u'' = -k1 u, integrated column by column with RK4.
 
-    Independent oracle for the focusing-plane block of the quadrupole map.
+    Independent oracle for the focusing-plane block of a quadrupole.
     """
     h = length / n_steps
 
@@ -58,97 +55,99 @@ def rk4_quad_plane(k1: float, length: float, n_steps: int = 4000) -> np.ndarray:
 
 class TestQuadMap:
     def test_zero_strength_is_drift(self):
-        m = quad_map(0.0, 0.122)
-        expected = np.eye(4)
-        expected[0, 1] = 0.122
-        expected[2, 3] = 0.122
-        assert np.allclose(m.R, expected, atol=1e-15)
-        assert np.all(m.d == 0.0)
+        x, y = quad_blocks(0.0, 0.122)
+        expected = np.array([[1.0, 0.122], [0.0, 1.0]])
+        assert np.allclose(x, expected, atol=1e-15)
+        assert np.allclose(y, expected, atol=1e-15)
 
     def test_focusing_block_against_closed_form_and_integration(self):
         # x-plane lower-left entry for k1=10, L=0.122:
         # closed form -sqrt(10) sin(sqrt(10) * 0.122) = -1.1899...
-        m = quad_map(10.0, 0.122)
+        x, _ = quad_blocks(10.0, 0.122)
         closed = -math.sqrt(10.0) * math.sin(math.sqrt(10.0) * 0.122)
-        assert m.R[1, 0] == pytest.approx(closed, abs=1e-12)
+        assert x[1, 0] == pytest.approx(closed, abs=1e-12)
         oracle = rk4_quad_plane(10.0, 0.122)
-        assert np.allclose(m.R[:2, :2], oracle, atol=1e-9)
+        assert np.allclose(x, oracle, atol=1e-9)
 
     def test_defocusing_block_against_integration(self):
         # y-plane of a focusing quad obeys u'' = +k1 u
-        m = quad_map(10.0, 0.122)
+        _, y = quad_blocks(10.0, 0.122)
         oracle = rk4_quad_plane(-10.0, 0.122)
-        assert np.allclose(m.R[2:, 2:], oracle, atol=1e-9)
+        assert np.allclose(y, oracle, atol=1e-9)
 
     def test_negative_strength_swaps_planes(self):
-        pos = quad_map(7.5, 0.122)
-        neg = quad_map(-7.5, 0.122)
-        assert np.allclose(pos.R[:2, :2], neg.R[2:, 2:], atol=1e-15)
-        assert np.allclose(pos.R[2:, 2:], neg.R[:2, :2], atol=1e-15)
+        pos_x, pos_y = quad_blocks(7.5, 0.122)
+        neg_x, neg_y = quad_blocks(-7.5, 0.122)
+        assert np.allclose(pos_x, neg_y, atol=1e-15)
+        assert np.allclose(pos_y, neg_x, atol=1e-15)
 
     @pytest.mark.parametrize("k1", np.linspace(-30.0, 30.0, 100).tolist())
     def test_plane_determinants_one(self, k1):
-        m = quad_map(k1, 0.122)
-        assert abs(np.linalg.det(m.R[:2, :2]) - 1.0) < 1e-12
-        assert abs(np.linalg.det(m.R[2:, 2:]) - 1.0) < 1e-12
+        x, y = quad_blocks(k1, 0.122)
+        assert abs(np.linalg.det(x) - 1.0) < 1e-12
+        assert abs(np.linalg.det(y) - 1.0) < 1e-12
 
     def test_continuous_at_zero(self):
-        eps_map = quad_map(1e-8, 0.122)
-        zero_map = quad_map(0.0, 0.122)
-        assert np.max(np.abs(eps_map.R - zero_map.R)) < 1e-6
+        eps_blocks = quad_blocks(1e-8, 0.122)
+        zero_blocks = quad_blocks(0.0, 0.122)
+        for eps, zero in zip(eps_blocks, zero_blocks):
+            assert np.max(np.abs(eps - zero)) < 1e-6
 
     @pytest.mark.parametrize("k1", np.linspace(-30.0, 30.0, 100).tolist())
     def test_focusing_sign_convention(self, k1):
         if k1 == 0.0:
             return
-        m = quad_map(k1, 0.122)
+        x, y = quad_blocks(k1, 0.122)
         if k1 > 0:
-            assert m.R[1, 0] < 0  # focusing in x
-            assert m.R[3, 2] > 0  # defocusing in y
+            assert x[1, 0] < 0  # focusing in x
+            assert y[1, 0] > 0  # defocusing in y
         else:
-            assert m.R[1, 0] > 0
-            assert m.R[3, 2] < 0
+            assert x[1, 0] > 0
+            assert y[1, 0] < 0
 
     def test_feed_down_offset_axis_untouched(self):
+        # a beam on a displaced Q3's axis, arriving parallel, leaves Q3 on it
         dx, dy = 1.5e-3, -0.7e-3
-        m = quad_map(22.0, 0.122, misalignment=(dx, dy))
-        on_axis = np.array([dx, 0.0, dy, 0.0])
-        out = m.R @ on_axis + m.d
-        assert np.allclose(out, on_axis, atol=1e-15)
+        geometry = LatticeGeometry()
+        lattice = Lattice(geometry=geometry, quad_misalignments=((0, 0), (0, 0), (dx, dy)))
+        on_axis = pencil_state(mean=(dx, 0.0, dy, 0.0))
+        out = track(lattice, centred_settings(q3=22.0), on_axis)
+        assert np.allclose(out.mean, on_axis.mean, atol=1e-15)
 
     def test_feed_down_kicks_centred_beam(self):
-        m = quad_map(22.0, 0.122, misalignment=(1e-3, 0.0))
-        out = m.R @ np.zeros(4) + m.d
-        assert out[1] != 0.0  # horizontal steering from the offset
-        assert out[2] == 0.0 and out[3] == 0.0
+        lattice = Lattice(quad_misalignments=((1e-3, 0.0), (0.0, 0.0), (0.0, 0.0)))
+        out = track(lattice, centred_settings(q1=22.0), pencil_state())
+        assert out.mean[1] != 0.0  # horizontal steering from the offset
+        assert out.mean[2] == 0.0 and out.mean[3] == 0.0
 
     def test_rejects_bad_input(self):
         with pytest.raises(OpticsError):
-            quad_map(float("nan"), 0.122)
+            quad_blocks(float("nan"), 0.122)
         with pytest.raises(OpticsError):
-            quad_map(1.0, 0.0)
+            quad_blocks(1.0, 0.0)
 
 
 class TestCorrectorMap:
     def test_zero_angle_identity(self):
-        m = corrector_map(0.0, "vertical")
-        assert np.allclose(m.R, np.eye(4)) and np.all(m.d == 0.0)
+        # with every magnet off the section is one drift to the screen
+        geometry = LatticeGeometry()
+        incoming = pencil_state(mean=(1e-4, 2e-5, -3e-4, 1e-5))
+        out = track(Lattice(geometry=geometry), centred_settings(), incoming)
+        x, xp, y, yp = incoming.mean
+        expected = [x + geometry.screen * xp, xp, y + geometry.screen * yp, yp]
+        assert np.allclose(out.mean, expected, rtol=1e-12, atol=0.0)
 
     def test_vertical_kick_moves_beam_up_downstream(self):
-        kick = corrector_map(1e-3, "vertical")
-        after = drift_map(1.0).compose(kick)
-        out = after.R @ np.zeros(4) + after.d
-        assert out[2] == pytest.approx(1e-3, rel=1e-12)  # +1.0 mm in y
+        geometry = LatticeGeometry()
+        out = track(Lattice(geometry=geometry), centred_settings(cv=1e-3), pencil_state())
+        assert out.mean[3] == pytest.approx(1e-3, rel=1e-12)
+        assert out.mean[2] == pytest.approx(1e-3 * (geometry.screen - geometry.cv), rel=1e-12)
 
     def test_negative_horizontal_steers_left(self):
-        kick = corrector_map(-2e-3, "horizontal")
-        after = drift_map(0.7).compose(kick)
-        out = after.R @ np.zeros(4) + after.d
-        assert out[0] == pytest.approx(-2e-3 * 0.7, rel=1e-12)
-
-    def test_rejects_unknown_plane(self):
-        with pytest.raises(OpticsError):
-            corrector_map(1e-3, "diagonal")
+        geometry = LatticeGeometry()
+        out = track(Lattice(geometry=geometry), centred_settings(ch=-2e-3), pencil_state())
+        assert out.mean[0] == pytest.approx(-2e-3 * (geometry.screen - geometry.ch), rel=1e-12)
+        assert out.mean[2] == 0.0
 
 
 def centred_settings(**overrides) -> MagnetSettings:
@@ -252,26 +251,12 @@ class TestGeometryValidation:
         with pytest.raises(OpticsError):
             LatticeGeometry(q1=0.18, q2=0.20)  # Q2 starts inside Q1
 
+    def test_nonfinite_misalignment_rejected(self):
+        with pytest.raises(OpticsError):
+            Lattice(quad_misalignments=((0.0, 0.0), (float("nan"), 0.0), (0.0, 0.0)))
+
     def test_state_validation(self):
         with pytest.raises(OpticsError):
             TransverseState(np.zeros(4), -np.eye(4))
         with pytest.raises(OpticsError):
             TransverseState(np.array([np.nan, 0, 0, 0]), np.eye(4))
-
-
-class TestAffineMap:
-    def test_compose_order(self):
-        kick = corrector_map(1e-3, "horizontal")
-        combined = drift_map(2.0).compose(kick)  # kick first, then drift
-        out = combined.R @ np.zeros(4) + combined.d
-        assert out[0] == pytest.approx(2e-3)
-        reversed_combined = kick.compose(drift_map(2.0))  # drift first
-        out2 = reversed_combined.R @ np.zeros(4) + reversed_combined.d
-        assert out2[0] == 0.0
-
-    def test_identity(self):
-        m = AffineMap.identity()
-        state = pencil_state(mean=(1e-3, 0, -1e-3, 0))
-        out = m.apply(state)
-        assert np.allclose(out.mean, state.mean)
-        assert np.allclose(out.covariance, state.covariance)
