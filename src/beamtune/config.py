@@ -4,9 +4,10 @@ One YAML file covers lattice geometry, the trial generator ranges,
 optimizer hyperparameters, LLM backend endpoints and the noise mode. A
 user file only needs the keys it overrides; everything else comes from the
 packaged defaults, and a key the defaults do not have is an error, except
-a new backend name under ``llm.backends``. Credentials never live in config
-files; the API key is read from the ``LLM_API_KEY`` environment variable by
-the llm module.
+a new backend name under ``llm.backends``, whose keys must be ones the
+packaged backends have. Credentials never live in config files; the API
+key is read from the ``LLM_API_KEY`` environment variable by the llm
+module.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
-# A new LLM backend may be added by name; its keys are checked by the
-# harness against the backend's constructor.
+# A new LLM backend may be added by name, with any of the keys the packaged
+# backends have.
 _NEW_NAMES_ALLOWED = ("llm", "backends")
 
 
@@ -47,6 +48,9 @@ def _unknown_keys(default: dict, override: dict, path: tuple = ()) -> list[str]:
         if key not in default:
             if path != _NEW_NAMES_ALLOWED:
                 unknown.append(".".join(map(str, here)))
+            elif isinstance(value, dict):
+                backend_keys = {name: None for backend in default.values() for name in backend}
+                unknown.extend(_unknown_keys(backend_keys, value, here))
         elif isinstance(value, dict) and isinstance(default[key], dict):
             unknown.extend(_unknown_keys(default[key], value, here))
     return unknown

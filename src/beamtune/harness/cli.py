@@ -16,7 +16,6 @@ LLM loop offline.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from pathlib import Path
@@ -71,18 +70,6 @@ def _load_trials(args, config: Config) -> list[Trial]:
     return canonical_trials(config.trial_generator())
 
 
-def _checked(section: str, options: dict, constructor, supplied=()) -> dict:
-    """``options``, once each is a keyword of ``constructor`` that the
-    harness does not supply itself; exits naming any other key."""
-    accepted = set(inspect.signature(constructor).parameters) - set(supplied)
-    unknown = sorted(set(options) - accepted)
-    if unknown:
-        raise SystemExit(
-            "unknown config key: " + ", ".join(f"{section}.{key}" for key in unknown)
-        )
-    return options
-
-
 def _build_backend_factory(args, config: Config):
     """Per-run backend factory.
 
@@ -95,13 +82,7 @@ def _build_backend_factory(args, config: Config):
         if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
             raise SystemExit("--script file must hold a JSON list of strings")
         return lambda: ScriptedBackend(list(responses), on_exhaust=args.script_on_exhaust)
-    options = _checked(
-        f"llm.backends.{args.backend}",
-        config.backend_options(args.backend),
-        HttpBackend,
-        ("backend_id", "session", "sleeper"),
-    )
-    shared = HttpBackend(backend_id=args.backend, **options)
+    shared = HttpBackend(backend_id=args.backend, **config.backend_options(args.backend))
     return lambda: shared
 
 
@@ -135,9 +116,7 @@ def _optimizer_factory(args, config: Config, budget: int):
     if name == "rlo" and not args.policy:
         raise SystemExit("--policy module:attribute is required for the rlo optimizer")
     constructor, supplied = OPTIMIZERS[name]
-    options = _checked(
-        f"optimizers.{name}", config.optimizer_options(name), constructor, supplied
-    )
+    options = config.optimizer_options(name)
 
     def factory(trial: Trial, seed: int):
         given = {"seed": seed, "budget": budget, "spec": args.policy}

@@ -21,18 +21,15 @@ from typing import Sequence
 
 from ..llm import DEFAULT_TIMEOUT_S, ChatRequest, TransportError, chat
 from ..optics import BeamParameters, LatticeGeometry
-from ..prompts import ParsedSettings, parse, render
+from ..prompts import ParseFailure, parse, render
 from ..task import MagnetSettings, Sample, Trial, TuningEnvironment
 
 __all__ = [
     "Attempt",
     "LLMOptimizer",
     "RunRecord",
-    "TERMINATIONS",
     "run_episode",
 ]
-
-TERMINATIONS = ("budget_exhausted", "double_parse_failure", "transport_failure")
 
 _SECOND_CHANCE_FEEDBACK = (
     "\n\nYour previous response could not be parsed ({reason}). Respond with "
@@ -63,7 +60,7 @@ class RunRecord:
     optimizer_id: str
     samples: list[Sample]
     transcripts: list[Attempt]
-    termination: str
+    termination: str  # budget_exhausted | double_parse_failure | transport_failure
     clamp_counts: dict[str, int]
     step_wall_clock: list[float]
 
@@ -74,11 +71,6 @@ class RunRecord:
     @property
     def steps_taken(self) -> int:
         return len(self.samples) - 1
-
-
-class _EpisodeAbort(Exception):
-    def __init__(self, cause: str):
-        self.cause = cause
 
 
 class LLMOptimizer:
@@ -145,9 +137,9 @@ class LLMOptimizer:
                 attempts.append(Attempt(step, attempt_index, prompt, None, False, reason, 0.0))
                 return None, attempts, "transport_failure"
             outcome = parse(text)
-            if isinstance(outcome, ParsedSettings):
+            if not isinstance(outcome, ParseFailure):
                 attempts.append(Attempt(step, attempt_index, prompt, text, True, None, latency))
-                return outcome.values, attempts, None
+                return outcome, attempts, None
             attempts.append(
                 Attempt(step, attempt_index, prompt, text, False, outcome.reason, latency)
             )
@@ -182,20 +174,18 @@ def run_episode(
     termination = "budget_exhausted"
 
     is_llm = hasattr(optimizer, "propose_with_attempts")
-    try:
-        for step in range(1, budget + 1):
-            started = time.perf_counter()
-            if is_llm:
-                settings, attempts, abort = optimizer.propose_with_attempts(step, env.history)
-                transcripts.extend(attempts)
-                if abort is not None:
-                    raise _EpisodeAbort(abort)
-            else:
-                settings = optimizer.propose(env.history)
-            env.step(settings)
-            wall_clock.append(time.perf_counter() - started)
-    except _EpisodeAbort as abort:
-        termination = abort.cause
+    for step in range(1, budget + 1):
+        started = time.perf_counter()
+        if is_llm:
+            settings, attempts, abort = optimizer.propose_with_attempts(step, env.history)
+            transcripts.extend(attempts)
+            if abort is not None:
+                termination = abort
+                break
+        else:
+            settings = optimizer.propose(env.history)
+        env.step(settings)
+        wall_clock.append(time.perf_counter() - started)
 
     clamp_counts: dict[str, int] = {}
     for sample in env.history[1:]:

@@ -59,24 +59,15 @@ def compute_metrics(record: RunRecord, budget: int = 50) -> RunMetrics:
     mae_initial = record.samples[0].mae
     mae_final = record.samples[-1].mae
 
-    if mae_initial == 0.0:
-        # Normalised metrics divide by the initial MAE; flag and leave unset.
-        return RunMetrics(
-            final_beam_difference_um=mae_final * 1000.0,
-            normalized_improvement_pct=None,
-            normalized_integrated_mae_pct=None,
-            successful_steps=record.steps_taken,
-            run_success=(mae_initial - mae_final) >= RUN_SUCCESS_THRESHOLD_MM,
-            normalization_undefined=True,
-            integrated_fill_applied=record.steps_taken < budget,
-        )
-
-    improvement = 100.0 * (mae_final - mae_initial) / mae_initial
-    maes = [sample.mae for sample in record.samples[1:]]
-    fill_applied = len(maes) < budget
-    hold = maes[-1] if maes else mae_initial
-    maes += [hold] * (budget - len(maes))
-    integrated = 100.0 * math.fsum(maes) / (budget * mae_initial)
+    # Normalised metrics divide by the initial MAE; at zero, flag and leave unset.
+    undefined = mae_initial == 0.0
+    improvement = integrated = None
+    if not undefined:
+        improvement = 100.0 * (mae_final - mae_initial) / mae_initial
+        maes = [sample.mae for sample in record.samples[1:]]
+        hold = maes[-1] if maes else mae_initial
+        maes += [hold] * (budget - len(maes))
+        integrated = 100.0 * math.fsum(maes) / (budget * mae_initial)
 
     return RunMetrics(
         final_beam_difference_um=mae_final * 1000.0,
@@ -84,8 +75,8 @@ def compute_metrics(record: RunRecord, budget: int = 50) -> RunMetrics:
         normalized_integrated_mae_pct=integrated,
         successful_steps=record.steps_taken,
         run_success=(mae_initial - mae_final) >= RUN_SUCCESS_THRESHOLD_MM,
-        normalization_undefined=False,
-        integrated_fill_applied=fill_applied,
+        normalization_undefined=undefined,
+        integrated_fill_applied=record.steps_taken < budget,
     )
 
 

@@ -252,9 +252,13 @@ class LatticeGeometry:
             cursor = end
 
     def drift_lengths(self) -> tuple[float, ...]:
-        """Drifts between entrance, the five magnets and the screen."""
+        """Drifts between entrance, the five magnets and the screen.
+
+        The order check admits an element that starts up to 1e-12 m before
+        the previous one ends; that overlap is a drift of length zero.
+        """
         L = self.quad_length
-        return (
+        drifts = (
             self.q1,
             self.q2 - (self.q1 + L),
             self.cv - (self.q2 + L),
@@ -262,6 +266,7 @@ class LatticeGeometry:
             self.ch - (self.q3 + L),
             self.screen - self.ch,
         )
+        return tuple(max(length, 0.0) for length in drifts)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import optimize
 
 from ..task import MagnetSettings, Sample
-from .base import box_bounds, denormalize, normalize
+from .base import RandomSearch, denormalize, normalize
 from .gp import (
     GaussianProcess,
     GPFitError,
@@ -54,7 +54,8 @@ class BayesianOptimizer:
 
     Parameters
     ----------
-    seed:         drives the initial design and all candidate streams.
+    seed:         drives the initial design, all candidate streams and the
+                  random proposals that stand in when the surrogate fails.
     n_init:       history size below which the low-discrepancy design is
                   used instead of the surrogate (the reset measurement
                   counts towards it).
@@ -79,7 +80,7 @@ class BayesianOptimizer:
         self.budget = budget
         self.fallback_steps: list[int] = []
         self._warm_start: np.ndarray | None = None
-        self._rng = np.random.default_rng(seed)
+        self._fallback = RandomSearch(seed)
         count = max(self.n_init - 1, 1)
         self._design = _sobol(self.seed, 1 << (count - 1).bit_length())[:count]
 
@@ -87,10 +88,6 @@ class BayesianOptimizer:
 
     def _candidates(self, step: int) -> np.ndarray:
         return _sobol(self.seed + 7919 * step, self.n_candidates)
-
-    def _random_settings(self) -> MagnetSettings:
-        low, high = box_bounds()
-        return MagnetSettings(*(float(v) for v in self._rng.uniform(low, high)))
 
     # -- interface -------------------------------------------------------------
 
@@ -107,7 +104,7 @@ class BayesianOptimizer:
             gp = GaussianProcess.fit(X, y, warm_start=self._warm_start)
         except GPFitError:
             self.fallback_steps.append(n)
-            return self._random_settings()
+            return self._fallback.propose(history)
         self._warm_start = gp.log_theta
 
         candidates = self._candidates(n)
@@ -141,5 +138,5 @@ class BayesianOptimizer:
 
         if not np.all(np.isfinite(best_u)):
             self.fallback_steps.append(n)
-            return self._random_settings()
+            return self._fallback.propose(history)
         return denormalize(best_u)

@@ -62,12 +62,13 @@ def _scaled_sq_dists(X: np.ndarray, Z: np.ndarray, lengthscales: np.ndarray) -> 
     return np.maximum(d2, 0.0)
 
 
-def _standardize(y: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """(mean, scale, standardized y); a constant y keeps unit scale."""
-    y_mean = float(np.mean(y))
+def _standardize(y: np.ndarray) -> np.ndarray:
+    """``y`` shifted to zero mean and scaled to unit spread; a constant
+    ``y`` keeps unit scale."""
+    mean = float(np.mean(y))
     spread = float(np.std(y))
-    y_scale = spread if spread > 1e-12 else 1.0
-    return y_mean, y_scale, (y - y_mean) / y_scale
+    scale = spread if spread > 1e-12 else 1.0
+    return (y - mean) / scale
 
 
 def _matern52(r: np.ndarray, signal_var: float) -> np.ndarray:
@@ -128,9 +129,6 @@ class GaussianProcess:
     """Fitted GP over normalized inputs and standardized targets."""
 
     X: np.ndarray
-    y_raw: np.ndarray
-    y_mean: float
-    y_scale: float
     lengthscales: np.ndarray
     signal_std: float
     noise_std: float
@@ -152,7 +150,7 @@ class GaussianProcess:
         """Condition on data with fixed hyperparameters (no optimisation)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
-        y_mean, y_scale, y_std = _standardize(y)
+        y_std = _standardize(y)
         ls = np.broadcast_to(np.asarray(lengthscales, dtype=float), (X.shape[1],)).copy()
 
         r = np.sqrt(_scaled_sq_dists(X, X, ls))
@@ -161,9 +159,6 @@ class GaussianProcess:
         alpha = cho_solve((L, True), y_std)
         return cls(
             X=X,
-            y_raw=y,
-            y_mean=y_mean,
-            y_scale=y_scale,
             lengthscales=ls,
             signal_std=float(signal_std),
             noise_std=float(noise_std),
@@ -189,7 +184,7 @@ class GaussianProcess:
         if len(y) < 1:
             raise ValueError("at least one sample required")
         dim = X.shape[1]
-        y_std = _standardize(y)[2]
+        y_std = _standardize(y)
 
         lo_ls, hi_ls = _LOG_BOUNDS["lengthscale"]
         lo_sf, hi_sf = _LOG_BOUNDS["signal_std"]
@@ -253,11 +248,6 @@ class GaussianProcess:
         """Posterior mean and standard deviation, standardized units."""
         _, _, mean, std = self._posterior(np.atleast_2d(np.asarray(U, dtype=float)))
         return mean, std
-
-    def predict_raw(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and standard deviation in objective units."""
-        mean, std = self.predict(U)
-        return mean * self.y_scale + self.y_mean, std * self.y_scale
 
 
 def _standard_normal_pdf(z: np.ndarray) -> np.ndarray:

@@ -13,8 +13,9 @@ descend down the prompt, i.e. the best sample comes last.
 
 Responses are expected to carry exactly one markdown JSON code block with
 the keys Q1, Q2, CV, Q3, CH. Parsing is deliberately strict (no trailing
-commas, no comments, no extra keys) and never raises: failures come back
-as :class:`ParseFailure` values with a classified reason.
+commas, no comments, no extra keys) and never raises: :func:`parse` returns
+the :class:`~beamtune.task.MagnetSettings` or a :class:`ParseFailure` with a
+classified reason.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .task import MagnetSettings, Sample
 __all__ = [
     "PROMPT_KINDS",
     "ParseFailure",
-    "ParsedSettings",
     "format_value",
     "parse",
     "render",
@@ -42,16 +42,6 @@ __all__ = [
 PROMPT_KINDS = ("tuning", "explained", "chain_of_thought", "optimisation")
 
 SETTING_KEYS = ("Q1", "Q2", "CV", "Q3", "CH")
-
-# The actuator ranges as the prompts show them: k1 in 1/m^2, angles in mrad.
-DISPLAY_RANGES = {
-    key: (low * scale, high * scale)
-    for key, scale, (low, high) in zip(
-        SETTING_KEYS, (1.0, 1.0, 1e3, 1.0, 1e3), MagnetSettings.ranges()
-    )
-}
-
-_EXCERPT_LIMIT = 500
 
 
 # ---------------------------------------------------------------------------
@@ -155,31 +145,11 @@ def render(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ParsedSettings:
-    """Successfully parsed magnet settings.
-
-    ``values`` holds internal units (angles in rad); ``raw_values`` keeps the
-    numbers exactly as they appeared in the response (angles in mrad).
-    ``clamped`` flags fields outside the actuator ranges; the values are left
-    unclamped here and clamped on application.
-    """
-
-    values: MagnetSettings
-    raw_values: dict[str, float]
-    raw_block: str
-    clamped: dict[str, bool]
-
-
-@dataclass(frozen=True)
 class ParseFailure:
-    """Classified parse failure; ``excerpt`` is capped at 500 characters."""
+    """Why a response yielded no settings."""
 
     reason: str  # no_json | invalid_json | ambiguous_multiple | missing_keys
     #            | non_numeric | extra_keys_disallowed
-    excerpt: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "excerpt", self.excerpt[:_EXCERPT_LIMIT])
 
 
 # Ordered least to most specific; used to pick the reported reason when a
@@ -269,50 +239,43 @@ def _classify(block: str) -> tuple[dict[str, float] | None, str | None]:
     return values, None
 
 
-def parse(response_text: str):
+def parse(response_text: str) -> MagnetSettings | ParseFailure:
     """Extract magnet settings from a model response.
 
-    Returns :class:`ParsedSettings` when the response contains exactly one
-    conforming JSON object, otherwise a :class:`ParseFailure`; never raises.
-    Extraction looks at fenced code blocks first and falls back to bare
-    brace groups only when the response has no fences at all.
+    Returns the :class:`~beamtune.task.MagnetSettings` (angles converted
+    from mrad to rad) when the response contains exactly one conforming
+    JSON object, otherwise a :class:`ParseFailure`; never raises. Values
+    outside the actuator ranges come back unclamped: the environment clamps
+    them on application and records which ones it clamped. Extraction looks
+    at fenced code blocks first and falls back to bare brace groups only
+    when the response has no fences at all.
     """
     blocks = _fenced_blocks(response_text)
     if not blocks:
         blocks = _bare_brace_groups(response_text)
     if not blocks:
-        return ParseFailure("no_json", response_text.strip())
+        return ParseFailure("no_json")
 
-    candidates: list[tuple[dict[str, float], str]] = []
+    candidates: list[dict[str, float]] = []
     reasons: list[str] = []
     for block in blocks:
         values, reason = _classify(block)
         if values is not None:
-            candidates.append((values, block))
+            candidates.append(values)
         else:
             reasons.append(reason)
 
     if len(candidates) > 1:
-        return ParseFailure("ambiguous_multiple", response_text.strip())
+        return ParseFailure("ambiguous_multiple")
     if not candidates:
-        worst = max(reasons, key=_REASON_SPECIFICITY.index)
-        return ParseFailure(worst, blocks[0].strip())
+        return ParseFailure(max(reasons, key=_REASON_SPECIFICITY.index))
 
-    raw_values, raw_block = candidates[0]
-    clamped = {
-        key: not (low <= raw_values[key] <= high)
-        for key, (low, high) in DISPLAY_RANGES.items()
-    }
-    settings = MagnetSettings(
-        q1=raw_values["Q1"],
-        q2=raw_values["Q2"],
-        cv=raw_values["CV"] * 1e-3,
-        q3=raw_values["Q3"],
-        ch=raw_values["CH"] * 1e-3,
-    )
-    return ParsedSettings(
-        values=settings,
-        raw_values=raw_values,
-        raw_block=raw_block,
-        clamped=clamped,
+    raw = candidates[0]
+    # multiply by 1e-3 rather than divide by 1e3: the two round differently
+    return MagnetSettings(
+        q1=raw["Q1"],
+        q2=raw["Q2"],
+        cv=raw["CV"] * 1e-3,
+        q3=raw["Q3"],
+        ch=raw["CH"] * 1e-3,
     )

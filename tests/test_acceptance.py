@@ -38,7 +38,7 @@ from beamtune.harness.report import summary_document
 from beamtune.llm import ScriptedBackend
 from beamtune.optics import BeamParameters, Lattice, TransverseState, quad_blocks, track
 from beamtune.optimizers import BayesianOptimizer, DoNothing, ExtremumSeeking, RandomSearch
-from beamtune.prompts import PROMPT_KINDS, ParseFailure, ParsedSettings, parse, render
+from beamtune.prompts import PROMPT_KINDS, ParseFailure, parse, render
 from beamtune.task import MagnetSettings, mae, objective
 
 import conftest
@@ -157,9 +157,9 @@ def test_criterion_3_optics_property_grid():
 
 def test_criterion_4_parser_corpus():
     example = parse(read_data("corpus", "example_response.txt"))
-    example_ok = isinstance(example, ParsedSettings) and example.raw_values == {
-        "Q1": -14.30, "Q2": -9.70, "CV": -2.55, "Q3": -8.10, "CH": -5.21,
-    }
+    example_ok = example == MagnetSettings(
+        q1=-14.30, q2=-9.70, cv=-2.55 * 1e-3, q3=-8.10, ch=-5.21 * 1e-3,
+    )
 
     expected_reasons = {
         "trailing_comma.txt": "invalid_json",

@@ -74,7 +74,6 @@ def test_unknown_optimizer_section_rejected(tmp_path):
 
 
 def test_new_backend_name_allowed(tmp_path):
-    # a new backend's keys are checked by HttpBackend when a run builds it
     path = tmp_path / "backend.yaml"
     path.write_text(
         "llm:\n  backends:\n    local:\n      dialect: ollama\n"
@@ -82,6 +81,17 @@ def test_new_backend_name_allowed(tmp_path):
     )
     config = load_config(path)
     assert config.backend_options("local")["dialect"] == "ollama"
+
+
+def test_new_backend_keys_checked_at_load(tmp_path):
+    # a new backend may only use keys the packaged backends have
+    backend = 'llm:\n  backends:\n    mine:\n      dialect: openai\n      base_url: "http://x"\n'
+    path = tmp_path / "backend.yaml"
+    path.write_text(backend + "      rpm: 3\n")
+    with pytest.raises(ValueError, match=r"^unknown config key: llm\.backends\.mine\.rpm$"):
+        load_config(path)
+    path.write_text(backend)
+    assert load_config(path).backend_options("mine") == {"dialect": "openai", "base_url": "http://x"}
 
 
 def test_unknown_keys_below_packaged_sections_rejected(tmp_path):

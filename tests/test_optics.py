@@ -26,7 +26,7 @@ from beamtune.optics import (
     read_screen,
     track,
 )
-from beamtune.task import MagnetSettings
+from beamtune.task import MagnetSettings, TuningEnvironment, make_trial
 
 
 def rk4_quad_plane(k1: float, length: float, n_steps: int = 4000) -> np.ndarray:
@@ -250,6 +250,14 @@ class TestGeometryValidation:
     def test_overlapping_quads_rejected(self):
         with pytest.raises(OpticsError):
             LatticeGeometry(q1=0.18, q2=0.20)  # Q2 starts inside Q1
+
+    def test_overlap_within_tolerance_is_a_zero_drift(self):
+        # Q2 starts 5e-13 m inside Q1: accepted, and tracked as no drift
+        geometry = LatticeGeometry(q2=0.18 + 0.122 - 5e-13)
+        assert geometry.drift_lengths()[1] == 0.0
+        TuningEnvironment(make_trial(1), geometry=geometry).reset()
+        with pytest.raises(OpticsError):
+            LatticeGeometry(q2=0.18 + 0.122 - 1e-9)
 
     def test_nonfinite_misalignment_rejected(self):
         with pytest.raises(OpticsError):

@@ -145,7 +145,7 @@ class TestGaussianProcess:
         y = np.sum(X**2, axis=1)
         gp = GaussianProcess.fit(X, y)
         mean, _ = gp.predict(X)
-        y_std = (y - gp.y_mean) / gp.y_scale
+        y_std = (y - np.mean(y)) / np.std(y)
         assert np.max(np.abs(mean - y_std)) <= 3.0 * gp.noise_std + 1e-6
 
     def test_quadratic_rmse_against_grid_oracle(self):
@@ -154,10 +154,11 @@ class TestGaussianProcess:
         rng = np.random.default_rng(1)
         X = rng.uniform(-1, 1, size=(20, 1))
         truth = lambda x: (x - 0.2) ** 2
-        gp = GaussianProcess.fit(X, truth(X[:, 0]))
+        y = truth(X[:, 0])
+        gp = GaussianProcess.fit(X, y)
         grid = np.linspace(-1, 1, 101)[:, None]
         mean, _ = gp.predict(grid)
-        oracle = (truth(grid[:, 0]) - gp.y_mean) / gp.y_scale
+        oracle = (truth(grid[:, 0]) - np.mean(y)) / np.std(y)
         rmse = float(np.sqrt(np.mean((mean - oracle) ** 2)))
         assert rmse < 0.1
 
@@ -176,15 +177,16 @@ class TestGaussianProcess:
 
 
 class TestExpectedImprovement:
+    Y = np.array([1.0, 0.2, 2.0])
+
     def _toy_gp(self, noise_std: float) -> GaussianProcess:
         X = np.array([
             [0.0, 0.0, 0.0, 0.0, 0.0],
             [0.5, 0.0, 0.0, 0.0, 0.0],
             [-0.5, 0.2, 0.0, 0.0, 0.0],
         ])
-        y = np.array([1.0, 0.2, 2.0])
         return GaussianProcess.from_hyperparameters(
-            X, y, lengthscales=0.5, signal_std=1.0, noise_std=noise_std
+            X, self.Y, lengthscales=0.5, signal_std=1.0, noise_std=noise_std
         )
 
     def test_vanishes_at_noiseless_incumbent(self):
@@ -208,10 +210,11 @@ class TestExpectedImprovement:
         gp = self._toy_gp(noise_std=1e-6)
         probe = np.array([[0.3, 0.1, -0.2, 0.0, 0.1]])
         before = expected_improvement(gp, probe)[0]
-        observed = gp.predict_raw(probe)[0][0]  # observe the posterior mean
+        # observe the posterior mean, in objective units
+        observed = gp.predict(probe)[0][0] * np.std(self.Y) + np.mean(self.Y)
         gp_after = GaussianProcess.from_hyperparameters(
             np.vstack([gp.X, probe]),
-            np.append(gp.y_raw, observed),
+            np.append(self.Y, observed),
             lengthscales=gp.lengthscales,
             signal_std=gp.signal_std,
             noise_std=gp.noise_std,
@@ -223,10 +226,12 @@ class TestExpectedImprovement:
 class TestExpectedImprovementGradient:
     @pytest.fixture(scope="class")
     def gp(self) -> GaussianProcess:
-        rng = np.random.default_rng(4)
-        X = rng.uniform(-1, 1, size=(24, 5))
-        y = np.sum(X**2, axis=1) + 0.3 * np.sin(3.0 * X[:, 0])
-        return GaussianProcess.fit(X, y)
+        X = np.random.default_rng(4).uniform(-1, 1, size=(24, 5))
+        return GaussianProcess.fit(X, self._targets(X))
+
+    @staticmethod
+    def _targets(X: np.ndarray) -> np.ndarray:
+        return np.sum(X**2, axis=1) + 0.3 * np.sin(3.0 * X[:, 0])
 
     @staticmethod
     def _central_differences(function, U: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -257,7 +262,7 @@ class TestExpectedImprovementGradient:
 
     def test_variance_floor_branch(self, gp):
         noiseless = GaussianProcess.from_hyperparameters(
-            gp.X, gp.y_raw, lengthscales=gp.lengthscales, signal_std=gp.signal_std,
+            gp.X, self._targets(gp.X), lengthscales=gp.lengthscales, signal_std=gp.signal_std,
             noise_std=0.0,
         )
         assert np.all(noiseless.predict(gp.X)[1] == 0.0)
@@ -347,10 +352,15 @@ class TestBayesianOptimizer:
 
         monkeypatch.setattr(GaussianProcess, "fit", broken_fit)
         optimizer = BayesianOptimizer(seed=2)
+        reference = RandomSearch(seed=2)  # each fallback is its next draw
         history = [toy_sample(i, np.full(5, 0.1 * i), float(i)) for i in range(6)]
         proposal = optimizer.propose(history)
         assert proposal.is_finite() and proposal.in_range()
         assert optimizer.fallback_steps == [6]
+        assert proposal == reference.propose(history)
+        history.append(toy_sample(6, normalize(proposal), 6.0))
+        assert optimizer.propose(history) == reference.propose(history)
+        assert optimizer.fallback_steps == [6, 7]
 
     @pytest.mark.slow
     def test_sphere_performance_median_of_seeds(self):

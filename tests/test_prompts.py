@@ -96,13 +96,9 @@ def test_unknown_kind_rejected(reference_target, reference_history):
 def test_settings_block_round_trips_through_parser():
     settings = MagnetSettings(q1=-14.30, q2=-9.70, cv=-2.55e-3, q3=-8.10, ch=-5.21e-3)
     parsed = parse(settings_block(settings))
-    assert parsed.raw_values == {
-        "Q1": -14.30,
-        "Q2": -9.70,
-        "CV": -2.55,
-        "Q3": -8.10,
-        "CH": -5.21,
-    }
+    assert parsed == MagnetSettings(
+        q1=-14.30, q2=-9.70, cv=-2.55 * 1e-3, q3=-8.10, ch=-5.21 * 1e-3
+    )
 
 
 def test_render_includes_schema_instruction(reference_target, reference_history):
