@@ -5,9 +5,9 @@ optimizer hyperparameters, LLM backend endpoints and the noise mode. A
 user file only needs the keys it overrides; everything else comes from the
 packaged defaults, and a key the defaults do not have is an error, except
 a new backend name under ``llm.backends``, whose keys must be ones the
-packaged backends have. Credentials never live in config files; the API
-key is read from the ``LLM_API_KEY`` environment variable by the llm
-module.
+packaged backends have; every backend needs a ``base_url``. Credentials
+never live in config files; the API key is read from the ``LLM_API_KEY``
+environment variable by the llm module.
 """
 
 from __future__ import annotations
@@ -126,4 +126,11 @@ def load_config(path: str | Path | None = None) -> Config:
         if unknown:
             raise ValueError("unknown config key: " + ", ".join(unknown))
         data = _deep_merge(data, override)
+        missing = [
+            f"llm.backends.{name}.base_url"
+            for name, options in data["llm"]["backends"].items()
+            if not isinstance(options, dict) or options.get("base_url") is None
+        ]
+        if missing:
+            raise ValueError("missing config key: " + ", ".join(missing))
     return Config(data)

@@ -63,8 +63,11 @@ def _load_config(args) -> Config:
 
 def _load_trials(args, config: Config) -> list[Trial]:
     if args.trials_fixture:
-        with open(args.trials_fixture, "r", encoding="utf-8") as handle:
-            return trials_from_document(yaml.safe_load(handle))
+        try:
+            with open(args.trials_fixture, "r", encoding="utf-8") as handle:
+                return trials_from_document(yaml.safe_load(handle))
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"--trials-fixture: {exc}") from exc
     from ..fixtures import canonical_trials
 
     return canonical_trials(config.trial_generator())
@@ -77,12 +80,19 @@ def _build_backend_factory(args, config: Config):
     HTTP backend is shared so its rate limit covers the whole evaluation.
     """
     if args.script:
-        with open(args.script, "r", encoding="utf-8") as handle:
-            responses = json.load(handle)
+        try:
+            with open(args.script, "r", encoding="utf-8") as handle:
+                responses = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"--script: {exc}") from exc
         if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
             raise SystemExit("--script file must hold a JSON list of strings")
         return lambda: ScriptedBackend(list(responses), on_exhaust=args.script_on_exhaust)
-    shared = HttpBackend(backend_id=args.backend, **config.backend_options(args.backend))
+    try:
+        options = config.backend_options(args.backend)
+    except KeyError as exc:
+        raise SystemExit(exc.args[0]) from exc
+    shared = HttpBackend(**options)
     return lambda: shared
 
 
@@ -130,6 +140,9 @@ def _cmd_run(args) -> int:
     harness_options = config.harness_options()
     budget = args.budget if args.budget is not None else int(harness_options["budget"])
     n_seeds = args.seeds if args.seeds is not None else int(harness_options["seeds"])
+    for name, value in (("budget", budget), ("seeds", n_seeds)):
+        if value < 1:
+            raise SystemExit(f"{name} must be at least 1, got {value}")
     factory, optimizer_id = _optimizer_factory(args, config, budget)
     summary = evaluate(
         _load_trials(args, config),

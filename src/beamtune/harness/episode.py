@@ -16,6 +16,7 @@ never appear in the history.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,9 +47,12 @@ class Attempt:
     attempt: int  # 1 = first try, 2 = second chance
     prompt: str
     response: str | None  # None when transport failed
-    parsed: bool
     failure_reason: str | None  # parse failure, or the transport error's class
     latency: float
+
+    @property
+    def parsed(self) -> bool:
+        return self.failure_reason is None
 
 
 @dataclass
@@ -58,11 +62,16 @@ class RunRecord:
     trial_id: str
     seed: int
     optimizer_id: str
+    budget: int
     samples: list[Sample]
     transcripts: list[Attempt]
     termination: str  # budget_exhausted | double_parse_failure | transport_failure
-    clamp_counts: dict[str, int]
-    step_wall_clock: list[float]
+
+    @property
+    def clamp_counts(self) -> dict[str, int]:
+        """Clamps per actuator over the applied proposals, sorted by name."""
+        counts = Counter(name for sample in self.samples[1:] for name in sample.clamped)
+        return dict(sorted(counts.items()))
 
     @property
     def model_calls(self) -> int:
@@ -134,15 +143,13 @@ class LLMOptimizer:
                 text, latency = self._call(prompt)
             except TransportError as exc:
                 reason = type(exc).__name__
-                attempts.append(Attempt(step, attempt_index, prompt, None, False, reason, 0.0))
+                attempts.append(Attempt(step, attempt_index, prompt, None, reason, 0.0))
                 return None, attempts, "transport_failure"
             outcome = parse(text)
             if not isinstance(outcome, ParseFailure):
-                attempts.append(Attempt(step, attempt_index, prompt, text, True, None, latency))
+                attempts.append(Attempt(step, attempt_index, prompt, text, None, latency))
                 return outcome, attempts, None
-            attempts.append(
-                Attempt(step, attempt_index, prompt, text, False, outcome.reason, latency)
-            )
+            attempts.append(Attempt(step, attempt_index, prompt, text, outcome.reason, latency))
             if attempt_index == 1 and self.second_chance_feedback:
                 prompt = prompt + _SECOND_CHANCE_FEEDBACK.format(reason=outcome.reason)
         return None, attempts, "double_parse_failure"
@@ -170,12 +177,10 @@ def run_episode(
     )
     env.reset()
     transcripts: list[Attempt] = []
-    wall_clock: list[float] = []
     termination = "budget_exhausted"
 
     is_llm = hasattr(optimizer, "propose_with_attempts")
     for step in range(1, budget + 1):
-        started = time.perf_counter()
         if is_llm:
             settings, attempts, abort = optimizer.propose_with_attempts(step, env.history)
             transcripts.extend(attempts)
@@ -185,20 +190,13 @@ def run_episode(
         else:
             settings = optimizer.propose(env.history)
         env.step(settings)
-        wall_clock.append(time.perf_counter() - started)
-
-    clamp_counts: dict[str, int] = {}
-    for sample in env.history[1:]:
-        for name in sample.clamped:
-            clamp_counts[name] = clamp_counts.get(name, 0) + 1
 
     return RunRecord(
         trial_id=trial.trial_id,
         seed=seed,
         optimizer_id=optimizer_id or type(optimizer).__name__,
+        budget=budget,
         samples=list(env.history),
         transcripts=transcripts,
         termination=termination,
-        clamp_counts=clamp_counts,
-        step_wall_clock=wall_clock,
     )

@@ -6,8 +6,8 @@ Per run, measured against the trial's initial settings:
 * normalised beam improvement: 100 * (mae_final - mae_initial) / mae_initial,
   negative is better;
 * normalised integrated MAE: 100 * sum(mae_t, t = 1..budget) / (budget *
-  mae_initial); runs that terminated early hold their last observed MAE for
-  the missing steps (and say so);
+  mae_initial), over the run's own budget; runs that terminated early hold
+  their last observed MAE for the missing steps (and say so);
 * successful steps: accelerator interactions performed, i.e. iterations
   that produced parsable settings, second attempts not counted extra.
 
@@ -52,8 +52,8 @@ class RunMetrics:
     integrated_fill_applied: bool
 
 
-def compute_metrics(record: RunRecord, budget: int = 50) -> RunMetrics:
-    """Score one run. ``budget`` is the nominal step count for integration."""
+def compute_metrics(record: RunRecord) -> RunMetrics:
+    """Score one run; the integrated MAE spans the record's budget."""
     if not record.samples:
         raise ValueError("run record has no samples")
     mae_initial = record.samples[0].mae
@@ -66,8 +66,8 @@ def compute_metrics(record: RunRecord, budget: int = 50) -> RunMetrics:
         improvement = 100.0 * (mae_final - mae_initial) / mae_initial
         maes = [sample.mae for sample in record.samples[1:]]
         hold = maes[-1] if maes else mae_initial
-        maes += [hold] * (budget - len(maes))
-        integrated = 100.0 * math.fsum(maes) / (budget * mae_initial)
+        maes += [hold] * (record.budget - len(maes))
+        integrated = 100.0 * math.fsum(maes) / (record.budget * mae_initial)
 
     return RunMetrics(
         final_beam_difference_um=mae_final * 1000.0,
@@ -76,7 +76,7 @@ def compute_metrics(record: RunRecord, budget: int = 50) -> RunMetrics:
         successful_steps=record.steps_taken,
         run_success=(mae_initial - mae_final) >= RUN_SUCCESS_THRESHOLD_MM,
         normalization_undefined=undefined,
-        integrated_fill_applied=record.steps_taken < budget,
+        integrated_fill_applied=record.steps_taken < record.budget,
     )
 
 
@@ -109,8 +109,8 @@ class SuiteSummary:
         return len(self.records)
 
 
-def summarize(optimizer_id: str, records: Sequence[RunRecord], budget: int = 50) -> SuiteSummary:
-    metrics = [compute_metrics(record, budget=budget) for record in records]
+def summarize(optimizer_id: str, records: Sequence[RunRecord]) -> SuiteSummary:
+    metrics = [compute_metrics(record) for record in records]
 
     aggregates = {}
     for key in (
@@ -182,4 +182,4 @@ def evaluate(
             records = list(pool.map(one, jobs))
     else:
         records = [one(job) for job in jobs]
-    return summarize(optimizer_id, records, budget=budget)
+    return summarize(optimizer_id, records)

@@ -21,29 +21,23 @@ __all__ = ["SUMMARY_SCHEMA", "load_summary", "render_csv", "summary_document", "
 
 SUMMARY_SCHEMA = "beamtune/summary/v1"
 
-_CSV_COLUMNS = [
-    "optimizer",
-    "runs",
-    "successes",
-    "final_beam_difference_um_mean",
-    "final_beam_difference_um_std",
-    "normalised_beam_improvement_pct_mean",
-    "normalised_beam_improvement_pct_std",
-    "normalised_integrated_mae_pct_mean",
-    "normalised_integrated_mae_pct_std",
-    "successful_steps_mean",
-    "successful_steps_std",
-    "outright_success",
-    "partial_success",
-    "single_trial_success",
-]
-
+# CSV column stem -> aggregate key in summary.json
 _AGGREGATE_KEYS = {
     "final_beam_difference_um": "final_beam_difference_um",
     "normalised_beam_improvement_pct": "normalized_improvement_pct",
     "normalised_integrated_mae_pct": "normalized_integrated_mae_pct",
     "successful_steps": "successful_steps",
 }
+
+_CSV_COLUMNS = [
+    "optimizer",
+    "runs",
+    "successes",
+    *(f"{key}_{stat}" for key in _AGGREGATE_KEYS for stat in ("mean", "std")),
+    "outright_success",
+    "partial_success",
+    "single_trial_success",
+]
 
 
 def _run_entry(record: RunRecord, metric: RunMetrics) -> dict:
@@ -53,7 +47,7 @@ def _run_entry(record: RunRecord, metric: RunMetrics) -> dict:
         "termination": record.termination,
         "steps_taken": record.steps_taken,
         "model_calls": record.model_calls,
-        "clamp_counts": dict(sorted(record.clamp_counts.items())),
+        "clamp_counts": record.clamp_counts,
         "metrics": asdict(metric),
     }
 

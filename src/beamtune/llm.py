@@ -122,8 +122,6 @@ class ChatResponse:
     text: str
     prompt_tokens: int | None
     completion_tokens: int | None
-    latency: float
-    backend_id: str
 
 
 class RateLimiter:
@@ -175,7 +173,6 @@ class HttpBackend:
     base_url:   server root, e.g. "https://api.openai.com" or
                 "http://localhost:11434".
     dialect:    "openai" or "ollama".
-    backend_id: label recorded on responses; defaults to the dialect.
     requests_per_minute: optional client-side rate limit, shared by every
                 thread that uses this backend.
     session:    one session for every thread; by default each thread
@@ -187,7 +184,6 @@ class HttpBackend:
         self,
         base_url: str,
         dialect: str = "openai",
-        backend_id: str | None = None,
         requests_per_minute: float | None = None,
         session: requests.Session | None = None,
         sleeper=time.sleep,
@@ -196,7 +192,6 @@ class HttpBackend:
             raise ValueError(f"unknown dialect {dialect!r}")
         self.base_url = base_url.rstrip("/")
         self.dialect = dialect
-        self.backend_id = backend_id or dialect
         self._shared_session = session
         self._thread = threading.local()
         self._sleeper = sleeper
@@ -268,7 +263,6 @@ class HttpBackend:
             if attempt:
                 self._sleeper(_BACKOFF_BASE_S * 2 ** (attempt - 1))
             self._limiter.acquire()
-            started = time.monotonic()
             try:
                 reply = self._session.post(
                     url, json=payload, headers=self._headers(), timeout=request.timeout
@@ -300,8 +294,6 @@ class HttpBackend:
                 text=text.strip(),
                 prompt_tokens=prompt_tokens,
                 completion_tokens=completion_tokens,
-                latency=time.monotonic() - started,
-                backend_id=self.backend_id,
             )
         assert last_error is not None
         raise last_error
@@ -319,19 +311,13 @@ class ScriptedBackend:
     :class:`ScriptExhausted` transport error is raised.
     """
 
-    def __init__(
-        self,
-        responses: list[str],
-        on_exhaust: str = "repeat_last",
-        backend_id: str = "scripted",
-    ) -> None:
+    def __init__(self, responses: list[str], on_exhaust: str = "repeat_last") -> None:
         if not responses:
             raise ValueError("scripted backend needs at least one response")
         if on_exhaust not in ("repeat_last", "error"):
             raise ValueError(f"unknown on_exhaust policy {on_exhaust!r}")
         self.responses = list(responses)
         self.on_exhaust = on_exhaust
-        self.backend_id = backend_id
         self.requests: list[ChatRequest] = []
 
     def complete(self, request: ChatRequest) -> ChatResponse:
@@ -347,6 +333,4 @@ class ScriptedBackend:
             text=self.responses[index].strip(),
             prompt_tokens=None,
             completion_tokens=None,
-            latency=0.0,
-            backend_id=self.backend_id,
         )

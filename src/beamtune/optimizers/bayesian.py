@@ -62,7 +62,7 @@ class BayesianOptimizer:
     n_candidates: quasi-random EI candidates per step (power of two).
     n_refine:     how many of the best candidates are refined (jointly).
     budget:       proposals per run; the budget-th proposal returns to the
-                  incumbent. None disables the return-to-best step.
+                  incumbent.
     """
 
     def __init__(
@@ -71,13 +71,13 @@ class BayesianOptimizer:
         n_init: int = 5,
         n_candidates: int = 4096,
         n_refine: int = 8,
-        budget: int | None = 50,
+        budget: int = 50,
     ) -> None:
         self.seed = int(seed)
         self.n_init = int(n_init)
         self.n_candidates = int(n_candidates)
         self.n_refine = int(n_refine)
-        self.budget = budget
+        self.budget = int(budget)
         self.fallback_steps: list[int] = []
         self._warm_start: np.ndarray | None = None
         self._fallback = RandomSearch(seed)
@@ -93,7 +93,7 @@ class BayesianOptimizer:
 
     def propose(self, history: Sequence[Sample]) -> MagnetSettings:
         n = len(history)
-        if self.budget is not None and n >= self.budget:
+        if n >= self.budget:
             return min(history, key=lambda s: s.objective).settings
         if n < self.n_init:
             return denormalize(self._design[n - 1])

@@ -122,18 +122,21 @@ class Trial:
 
 @dataclass(frozen=True)
 class Sample:
-    """One evaluated point: applied settings, measurement, objective, MAE.
+    """One evaluated point: applied settings, measurement and objective.
 
     ``clamped`` lists the actuator fields that were clamped on application;
-    the invariant objective == 4 * mae holds exactly.
+    ``mae`` is derived from the objective, never stored.
     """
 
     step_index: int
     settings: MagnetSettings
     parameters: BeamParameters
     objective: float
-    mae: float
     clamped: tuple[str, ...] = ()
+
+    @property
+    def mae(self) -> float:
+        return self.objective / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +263,11 @@ class TuningEnvironment:
 
     def _record(self, settings: MagnetSettings, clamped: tuple[str, ...]) -> Sample:
         params = self._measure(settings)
-        obj = objective(params, self.trial.target)
         sample = Sample(
             step_index=len(self.history),
             settings=settings,
             parameters=params,
-            objective=obj,
-            mae=obj / 4.0,
+            objective=objective(params, self.trial.target),
             clamped=clamped,
         )
         self.history.append(sample)

@@ -30,15 +30,13 @@ def make_sample(
     parameters: tuple[float, float, float, float],
     target: BeamParameters,
 ) -> Sample:
-    """Sample with a consistent objective/MAE, angles given in rad."""
+    """Sample scored against ``target``, angles given in rad."""
     params = BeamParameters(*parameters)
-    obj = objective(params, target)
     return Sample(
         step_index=step,
         settings=MagnetSettings(*settings),
         parameters=params,
-        objective=obj,
-        mae=obj / 4.0,
+        objective=objective(params, target),
     )
 
 

@@ -312,7 +312,7 @@ def test_criterion_8_success_tiers():
         for t, count in enumerate(success_counts):
             for seed in range(3):
                 records.append(_record_with_success(f"trial-{t}", seed, seed < count))
-        return summarize("constructed", records, budget=1)
+        return summarize("constructed", records)
 
     outright = suite([3, 3, 3])
     partial = suite([3, 3, 0])

@@ -159,7 +159,7 @@ class TestMetrics:
     def test_do_nothing_exact_zero_and_hundred(self):
         trial = make_trial(1)
         record = run_episode(trial, DoNothing(), budget=50)
-        metrics = compute_metrics(record, budget=50)
+        metrics = compute_metrics(record)
         assert metrics.normalized_improvement_pct == 0.0
         assert metrics.normalized_integrated_mae_pct == 100.0
         assert metrics.run_success is False
@@ -174,32 +174,37 @@ class TestMetrics:
             settings=halved.settings,
             parameters=halved.parameters,
             objective=record.samples[0].objective / 2.0,
-            mae=record.samples[0].mae / 2.0,
         )
-        metrics = compute_metrics(record, budget=2)
+        metrics = compute_metrics(record)
         assert metrics.normalized_improvement_pct == pytest.approx(-50.0)
         assert metrics.run_success is True
 
-    def test_early_termination_fill_rule(self):
-        # terminated at step 10, constant mae m thereafter: the integrated
-        # metric holds m for steps 11..50
+    @pytest.mark.parametrize("budget, steps", [(50, 10), (10, 4)],
+                             ids=["budget-50", "budget-10"])
+    def test_early_termination_fill_rule(self, budget, steps):
+        # terminated after `steps` steps, constant mae m thereafter: the
+        # integrated metric holds m for the rest of the run's own budget.
+        # The last step differs from the ones before it, so m is not the
+        # mean and the number of held steps shows in the result.
         trial = make_trial(1)
-        responses = [VALID_RESPONSE] * 10 + [INVALID_RESPONSE, INVALID_RESPONSE]
+        other = VALID_RESPONSE.replace("-5.00", "5.00")
+        responses = [other] * (steps - 1) + [VALID_RESPONSE, INVALID_RESPONSE, INVALID_RESPONSE]
         record = run_episode(
-            trial, scripted_optimizer(trial, responses, on_exhaust="error"), budget=50
+            trial, scripted_optimizer(trial, responses, on_exhaust="error"), budget=budget
         )
-        assert record.steps_taken == 10
-        metrics = compute_metrics(record, budget=50)
+        assert record.steps_taken == steps
+        metrics = compute_metrics(record)
         maes = [s.mae for s in record.samples[1:]]
-        expected = 100.0 * math.fsum(maes + [maes[-1]] * 40) / (50 * record.samples[0].mae)
+        held = maes + [maes[-1]] * (budget - steps)
+        expected = 100.0 * math.fsum(held) / (budget * record.samples[0].mae)
         assert metrics.normalized_integrated_mae_pct == pytest.approx(expected, rel=1e-12)
         assert metrics.integrated_fill_applied is True
-        assert metrics.successful_steps == 10
+        assert metrics.successful_steps == steps
 
     def test_final_beam_difference_in_micrometres(self):
         trial = make_trial(2)
         record = run_episode(trial, DoNothing(), budget=1)
-        metrics = compute_metrics(record, budget=1)
+        metrics = compute_metrics(record)
         assert metrics.final_beam_difference_um == pytest.approx(
             record.samples[-1].mae * 1000.0
         )
@@ -210,16 +215,14 @@ class TestMetrics:
         base = record.samples[0]
 
         def with_final(delta_mm: float) -> RunRecord:
-            improved = Sample(1, base.settings, base.parameters,
-                              base.objective - 4 * delta_mm, base.mae - delta_mm)
+            improved = Sample(1, base.settings, base.parameters, base.objective - 4 * delta_mm)
             return RunRecord(
-                trial_id=record.trial_id, seed=0, optimizer_id="t",
+                trial_id=record.trial_id, seed=0, optimizer_id="t", budget=1,
                 samples=[base, improved], transcripts=[], termination="budget_exhausted",
-                clamp_counts={}, step_wall_clock=[],
             )
 
-        assert compute_metrics(with_final(0.0401), budget=1).run_success is True
-        assert compute_metrics(with_final(0.0399), budget=1).run_success is False
+        assert compute_metrics(with_final(0.0401)).run_success is True
+        assert compute_metrics(with_final(0.0399)).run_success is False
 
     def test_call_accounting_conserved(self):
         # model_calls = steps_taken + second attempts for LLM runs;
@@ -231,7 +234,7 @@ class TestMetrics:
         assert record.model_calls == record.steps_taken + second_attempts
 
         baseline = run_episode(trial, DoNothing(), budget=20)
-        assert compute_metrics(baseline, budget=20).successful_steps == baseline.steps_taken
+        assert compute_metrics(baseline).successful_steps == baseline.steps_taken
 
     def test_run_success_monotone_in_final_mae(self):
         trial = make_trial(1)
@@ -239,13 +242,12 @@ class TestMetrics:
         base = record.samples[0]
         previous_success = None
         for final_mae in (base.mae, base.mae - 0.039, base.mae - 0.041, 0.0):
-            improved = Sample(1, base.settings, base.parameters, 4 * final_mae, final_mae)
+            improved = Sample(1, base.settings, base.parameters, 4 * final_mae)
             candidate = RunRecord(
-                trial_id=record.trial_id, seed=0, optimizer_id="t",
-                samples=[base, improved], transcripts=[],
-                termination="budget_exhausted", clamp_counts={}, step_wall_clock=[],
+                trial_id=record.trial_id, seed=0, optimizer_id="t", budget=1,
+                samples=[base, improved], transcripts=[], termination="budget_exhausted",
             )
-            success = compute_metrics(candidate, budget=1).run_success
+            success = compute_metrics(candidate).run_success
             if previous_success is not None:
                 assert success >= previous_success  # lowering mae never flips to failure
             previous_success = success
@@ -253,29 +255,27 @@ class TestMetrics:
     def test_zero_initial_mae_flagged_and_excluded(self):
         trial = make_trial(1)
         base = run_episode(trial, DoNothing(), budget=1).samples[0]
-        perfect = Sample(0, base.settings, base.parameters, 0.0, 0.0)
+        perfect = Sample(0, base.settings, base.parameters, 0.0)
         record = RunRecord(
-            trial_id="t", seed=0, optimizer_id="x", samples=[perfect, perfect],
-            transcripts=[], termination="budget_exhausted", clamp_counts={},
-            step_wall_clock=[],
+            trial_id="t", seed=0, optimizer_id="x", budget=1, samples=[perfect, perfect],
+            transcripts=[], termination="budget_exhausted",
         )
-        metrics = compute_metrics(record, budget=1)
+        metrics = compute_metrics(record)
         assert metrics.normalization_undefined is True
         assert metrics.normalized_improvement_pct is None
-        summary = summarize("x", [record], budget=1)
+        summary = summarize("x", [record])
         assert summary.aggregates["normalized_improvement_pct"] == (None, None)
 
 
 def _record_with_success(trial_id: str, seed: int, success: bool) -> RunRecord:
     params = BeamParameters(0, 0.1, 0, 0.1)
     settings = MagnetSettings(0, 0, 0, 0, 0)
-    initial = Sample(0, settings, params, objective=4.0, mae=1.0)
+    initial = Sample(0, settings, params, objective=4.0)
     final_mae = 0.5 if success else 1.0  # 500 um improvement vs none
-    final = Sample(1, settings, params, objective=4 * final_mae, mae=final_mae)
+    final = Sample(1, settings, params, objective=4 * final_mae)
     return RunRecord(
-        trial_id=trial_id, seed=seed, optimizer_id="fake",
+        trial_id=trial_id, seed=seed, optimizer_id="fake", budget=1,
         samples=[initial, final], transcripts=[], termination="budget_exhausted",
-        clamp_counts={}, step_wall_clock=[],
     )
 
 
@@ -285,7 +285,7 @@ def tiered_summary(successes: list[int]):
     for t, count in enumerate(successes):
         for seed in range(3):
             records.append(_record_with_success(f"trial-{t}", seed, seed < count))
-    return summarize("fake", records, budget=1)
+    return summarize("fake", records)
 
 
 class TestSuccessTiers:
@@ -308,7 +308,7 @@ class TestSuccessTiers:
         for trial_id, flags in pattern.items():
             for seed, flag in enumerate(flags):
                 records.append(_record_with_success(trial_id, seed, bool(flag)))
-        summary = summarize("fake", records, budget=1)
+        summary = summarize("fake", records)
         assert summary.successes == 6
         assert summary.partial_success and not summary.outright_success
         assert summary.single_trial_success
@@ -584,6 +584,56 @@ class TestCLI:
                 "run", "--optimizer", "llm", "--model", "m", "--config", str(config),
                 "--out", str(tmp_path / "r"),
             ])
+
+    def test_unconfigured_backend_exits_with_its_name(self, tmp_path):
+        with pytest.raises(SystemExit, match=r"^backend 'nosuch' not configured"):
+            cli_main([
+                "run", "--optimizer", "llm", "--model", "m", "--backend", "nosuch",
+                "--out", str(tmp_path / "r"),
+            ])
+
+    def test_backend_without_base_url_exits_at_load(self, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text("llm:\n  backends:\n    mine:\n      dialect: openai\n")
+        expected = r"^missing config key: llm\.backends\.mine\.base_url$"
+        with pytest.raises(SystemExit, match=expected):
+            cli_main([
+                "run", "--optimizer", "llm", "--model", "m", "--backend", "mine",
+                "--config", str(config), "--out", str(tmp_path / "r"),
+            ])
+
+    def test_trials_fixture_with_unknown_schema_exits(self, tmp_path):
+        fixture = tmp_path / "trials.yaml"
+        fixture.write_text("schema: nope\ntrials: []\n")
+        expected = r"^--trials-fixture: unsupported trial fixture schema 'nope'"
+        with pytest.raises(SystemExit, match=expected):
+            cli_main([
+                "run", "--optimizer", "do-nothing", "--trials-fixture", str(fixture),
+                "--out", str(tmp_path / "r"),
+            ])
+        assert not (tmp_path / "r").exists()
+
+    def test_missing_script_file_exits(self, tmp_path):
+        with pytest.raises(SystemExit, match=r"^--script: .*absent\.json"):
+            cli_main([
+                "run", "--optimizer", "llm", "--model", "m",
+                "--script", str(tmp_path / "absent.json"), "--out", str(tmp_path / "r"),
+            ])
+
+    @pytest.mark.parametrize("flags, config_text, message", [
+        (["--budget", "0"], None, "budget must be at least 1, got 0"),
+        (["--budget", "-3"], None, "budget must be at least 1, got -3"),
+        (["--seeds", "0"], None, "seeds must be at least 1, got 0"),
+        ([], "harness:\n  seeds: 0\n", "seeds must be at least 1, got 0"),
+    ], ids=["budget-0", "budget-negative", "seeds-0", "config-seeds-0"])
+    def test_budget_and_seeds_below_one_exit(self, tmp_path, flags, config_text, message):
+        if config_text is not None:
+            config = tmp_path / "config.yaml"
+            config.write_text(config_text)
+            flags = [*flags, "--config", str(config)]
+        with pytest.raises(SystemExit, match=f"^{message}$"):
+            cli_main(["run", "--optimizer", "do-nothing", *flags, "--out", str(tmp_path / "r")])
+        assert not (tmp_path / "r").exists()
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats is only needed once a BayesianOptimizer is built

@@ -38,7 +38,6 @@ def toy_sample(step: int, u: np.ndarray, objective: float) -> Sample:
         settings=denormalize(u),
         parameters=DUMMY_PARAMS,
         objective=float(objective),
-        mae=float(objective) / 4.0,
     )
 
 
