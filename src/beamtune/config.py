@@ -5,13 +5,16 @@ optimizer hyperparameters, LLM backend endpoints and the noise mode. A
 user file only needs the keys it overrides; everything else comes from the
 packaged defaults, and a key the defaults do not have is an error, except
 a new backend name under ``llm.backends``, whose keys must be ones the
-packaged backends have; every backend needs a ``base_url``. Credentials
+packaged backends have; every backend needs a ``base_url``. The lattice
+and trial generator sections must be ones their constructors accept, the
+noise sigma a finite value >= 0 and the harness counts integers. Credentials
 never live in config files; the API key is read from the ``LLM_API_KEY``
 environment variable by the llm module.
 """
 
 from __future__ import annotations
 
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -68,15 +71,7 @@ class Config:
 
     def geometry(self) -> LatticeGeometry:
         lat = self.data["lattice"]
-        return LatticeGeometry(
-            quad_length=float(lat["quad_length"]),
-            q1=float(lat["q1"]),
-            q2=float(lat["q2"]),
-            cv=float(lat["cv"]),
-            q3=float(lat["q3"]),
-            ch=float(lat["ch"]),
-            screen=float(lat["screen"]),
-        )
+        return LatticeGeometry(**{key: float(lat[key]) for key in lat})
 
     def noise_sigma(self) -> float:
         return float(self.data["noise"]["screen_position_sigma_m"])
@@ -133,4 +128,23 @@ def load_config(path: str | Path | None = None) -> Config:
         ]
         if missing:
             raise ValueError("missing config key: " + ", ".join(missing))
-    return Config(data)
+    return _checked(Config(data))
+
+
+def _checked(config: Config) -> Config:
+    """Reject the values a run would fail on or silently misread."""
+    for section, build in (("lattice", config.geometry),
+                           ("trial_generator", config.trial_generator)):
+        try:
+            build()
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{section}: {exc}") from exc
+    sigma = config.data["noise"]["screen_position_sigma_m"]
+    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(
+            f"noise.screen_position_sigma_m must be a finite value >= 0, got {sigma!r}"
+        )
+    for key, value in config.data["harness"].items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"harness.{key} must be an integer, got {value!r}")
+    return config

@@ -31,6 +31,7 @@ from ..optimizers import (
     RandomSearch,
     ReinforcementPolicyOptimizer,
 )
+from ..prompts import PROMPT_KINDS
 from ..task import Trial, make_trial, trials_from_document, trials_to_document
 from .episode import LLMOptimizer
 from .metrics import evaluate
@@ -45,20 +46,21 @@ OPTIMIZERS = {
     "bo": (BayesianOptimizer, ("seed", "budget")),
     "rlo": (ReinforcementPolicyOptimizer.from_spec, ("spec",)),
 }
-PROMPT_ALIASES = {
-    "tuning": "tuning",
-    "explained": "explained",
-    "cot": "chain_of_thought",
-    "chain_of_thought": "chain_of_thought",
-    "optimisation": "optimisation",
-}
+PROMPT_ALIASES = {**{kind: kind for kind in PROMPT_KINDS}, "cot": "chain_of_thought"}
+
+
+def _one_line(exc: BaseException) -> str:
+    """The error's message on one line (YAML errors span several)."""
+    return " ".join(str(exc).split())
 
 
 def _load_config(args) -> Config:
     try:
         return load_config(args.config)
-    except ValueError as exc:  # unknown key or schema: exit naming it
-        raise SystemExit(str(exc)) from exc
+    except ValueError as exc:  # a key or value the config rejects: exit naming it
+        raise SystemExit(_one_line(exc)) from exc
+    except (OSError, yaml.YAMLError) as exc:
+        raise SystemExit(f"--config: {_one_line(exc)}") from exc
 
 
 def _load_trials(args, config: Config) -> list[Trial]:
@@ -66,8 +68,10 @@ def _load_trials(args, config: Config) -> list[Trial]:
         try:
             with open(args.trials_fixture, "r", encoding="utf-8") as handle:
                 return trials_from_document(yaml.safe_load(handle))
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"--trials-fixture: {exc}") from exc
+        except KeyError as exc:
+            raise SystemExit(f"--trials-fixture: missing field {exc}") from exc
+        except (OSError, TypeError, ValueError, yaml.YAMLError) as exc:
+            raise SystemExit(f"--trials-fixture: {_one_line(exc)}") from exc
     from ..fixtures import canonical_trials
 
     return canonical_trials(config.trial_generator())
@@ -138,8 +142,8 @@ def _optimizer_factory(args, config: Config, budget: int):
 def _cmd_run(args) -> int:
     config = _load_config(args)
     harness_options = config.harness_options()
-    budget = args.budget if args.budget is not None else int(harness_options["budget"])
-    n_seeds = args.seeds if args.seeds is not None else int(harness_options["seeds"])
+    budget = args.budget if args.budget is not None else harness_options["budget"]
+    n_seeds = args.seeds if args.seeds is not None else harness_options["seeds"]
     for name, value in (("budget", budget), ("seeds", n_seeds)):
         if value < 1:
             raise SystemExit(f"{name} must be at least 1, got {value}")
@@ -152,7 +156,7 @@ def _cmd_run(args) -> int:
         budget=budget,
         geometry=config.geometry(),
         noise_sigma=config.noise_sigma(),
-        workers=int(harness_options["workers"]),
+        workers=harness_options["workers"],
     )
     paths = write_outputs([summary], args.out)
     improvement = summary.aggregates["normalized_improvement_pct"]
@@ -164,7 +168,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    path = regenerate_csv(args.in_dir)
+    try:
+        path = regenerate_csv(args.in_dir)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"--in: {_one_line(exc)}") from exc
     print(f"wrote {path}")
     return 0
 

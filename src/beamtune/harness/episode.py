@@ -61,7 +61,6 @@ class RunRecord:
 
     trial_id: str
     seed: int
-    optimizer_id: str
     budget: int
     samples: list[Sample]
     transcripts: list[Attempt]
@@ -133,25 +132,31 @@ class LLMOptimizer:
         return response.text, time.perf_counter() - started
 
     def propose_with_attempts(
-        self, step: int, history: Sequence[Sample]
+        self, history: Sequence[Sample]
     ) -> tuple[MagnetSettings | None, list[Attempt], str | None]:
-        """(settings, attempts, abort cause). Settings is None on abort."""
+        """(settings, attempts, abort cause) for the next step.
+
+        Settings is None on abort. The step's number is ``len(history)``:
+        the history holds the reset sample and one sample per step taken.
+        """
+        step = len(history)
         prompt = render(self.prompt_kind, self.target, history, window=self.window)
         attempts: list[Attempt] = []
         for attempt_index in (1, 2):
             try:
                 text, latency = self._call(prompt)
             except TransportError as exc:
-                reason = type(exc).__name__
-                attempts.append(Attempt(step, attempt_index, prompt, None, reason, 0.0))
+                text, latency, reason = None, 0.0, type(exc).__name__
+            else:
+                outcome = parse(text)
+                reason = outcome.reason if isinstance(outcome, ParseFailure) else None
+            attempts.append(Attempt(step, attempt_index, prompt, text, reason, latency))
+            if text is None:
                 return None, attempts, "transport_failure"
-            outcome = parse(text)
-            if not isinstance(outcome, ParseFailure):
-                attempts.append(Attempt(step, attempt_index, prompt, text, None, latency))
+            if reason is None:
                 return outcome, attempts, None
-            attempts.append(Attempt(step, attempt_index, prompt, text, outcome.reason, latency))
             if attempt_index == 1 and self.second_chance_feedback:
-                prompt = prompt + _SECOND_CHANCE_FEEDBACK.format(reason=outcome.reason)
+                prompt += _SECOND_CHANCE_FEEDBACK.format(reason=reason)
         return None, attempts, "double_parse_failure"
 
 
@@ -162,7 +167,6 @@ def run_episode(
     seed: int = 0,
     geometry: LatticeGeometry | None = None,
     noise_sigma: float = 0.0,
-    optimizer_id: str | None = None,
 ) -> RunRecord:
     """Run one tuning episode of at most ``budget`` accelerator interactions.
 
@@ -180,9 +184,9 @@ def run_episode(
     termination = "budget_exhausted"
 
     is_llm = hasattr(optimizer, "propose_with_attempts")
-    for step in range(1, budget + 1):
+    for _ in range(budget):
         if is_llm:
-            settings, attempts, abort = optimizer.propose_with_attempts(step, env.history)
+            settings, attempts, abort = optimizer.propose_with_attempts(env.history)
             transcripts.extend(attempts)
             if abort is not None:
                 termination = abort
@@ -194,7 +198,6 @@ def run_episode(
     return RunRecord(
         trial_id=trial.trial_id,
         seed=seed,
-        optimizer_id=optimizer_id or type(optimizer).__name__,
         budget=budget,
         samples=list(env.history),
         transcripts=transcripts,

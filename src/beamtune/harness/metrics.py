@@ -174,7 +174,6 @@ def evaluate(
             seed=seed,
             geometry=geometry,
             noise_sigma=noise_sigma,
-            optimizer_id=optimizer_id,
         )
 
     if workers > 1:

@@ -271,10 +271,12 @@ class LatticeGeometry:
 
 @dataclass(frozen=True)
 class Lattice:
-    """The Q1, Q2, CV, Q3, CH, screen section with fixed misalignments.
+    """The Q1, Q2, CV, Q3, CH, screen section with fixed quadrupole misalignments.
 
     Geometry and misalignments are immutable; magnet strengths are applied
-    per ``track`` call, so one Lattice can be shared across threads.
+    per ``track`` call, so one Lattice can be shared across threads. The
+    screen's misalignment does not change the beam, only where it is read,
+    so it is an argument of :func:`read_screen`, not part of the lattice.
     """
 
     geometry: LatticeGeometry = field(default_factory=LatticeGeometry)
@@ -283,7 +285,6 @@ class Lattice:
         (0.0, 0.0),
         (0.0, 0.0),
     )
-    screen_misalignment: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
         if len(self.quad_misalignments) != 3:
@@ -336,9 +337,11 @@ def read_screen(
 ) -> BeamParameters:
     """Analytic moment readout of the beam at a misaligned screen, in mm.
 
-    Positions are reported relative to the displaced screen centre and
-    optionally blurred with independent Gaussian noise of width
-    ``noise_sigma`` [m]; beam sizes are read without noise.
+    ``screen_misalignment`` is the screen centre's (dx, dy) offset [m], as a
+    :class:`~beamtune.task.Trial` carries it. Positions are reported
+    relative to the displaced screen centre and optionally blurred with
+    independent Gaussian noise of width ``noise_sigma`` [m], drawn from
+    ``rng``; beam sizes are read without noise.
     """
     var_x = float(state.covariance[0, 0])
     var_y = float(state.covariance[2, 2])

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.special import ndtr
 
 __all__ = [
     "GPFitError",
@@ -254,12 +255,6 @@ def _standard_normal_pdf(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi)
 
 
-def _standard_normal_cdf(z: np.ndarray) -> np.ndarray:
-    from scipy.special import ndtr
-
-    return ndtr(z)
-
-
 def _ei(improvement: np.ndarray, std: np.ndarray) -> tuple[np.ndarray, ...]:
     """EI from the improvement ``incumbent - mean`` and the posterior std,
     with its partial derivatives in the mean and in the std.
@@ -271,7 +266,7 @@ def _ei(improvement: np.ndarray, std: np.ndarray) -> tuple[np.ndarray, ...]:
     uncertain = std > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(uncertain, improvement / std, 0.0)
-    cdf = _standard_normal_cdf(z)
+    cdf = ndtr(z)
     pdf = _standard_normal_pdf(z)
     ei = np.where(
         uncertain,

@@ -23,11 +23,13 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
-from .task import MagnetSettings, Sample
+from .optics import BeamParameters
+from .task import ACTUATOR_NAMES, MagnetSettings, Sample
 
 __all__ = [
     "PROMPT_KINDS",
@@ -41,7 +43,14 @@ __all__ = [
 
 PROMPT_KINDS = ("tuning", "explained", "chain_of_thought", "optimisation")
 
-SETTING_KEYS = ("Q1", "Q2", "CV", "Q3", "CH")
+SETTING_KEYS = tuple(name.upper() for name in ACTUATOR_NAMES)
+
+# Corrector angles show in mrad; the quadrupole strengths in 1/m^2 as stored,
+# by a factor of 1.0, which keeps every bit.
+_MRAD = frozenset({"cv", "ch"})
+_PROMPT_FACTORS = tuple(1e3 if name in _MRAD else 1.0 for name in ACTUATOR_NAMES)
+
+_PARAMETER_NAMES = tuple(field.name for field in fields(BeamParameters))
 
 
 # ---------------------------------------------------------------------------
@@ -54,30 +63,21 @@ def format_value(value: float) -> str:
     return "0.00" if text == "-0.00" else text
 
 
-def _json_block(pairs: Sequence[tuple[str, float]]) -> str:
-    lines = [f'    "{key}": {format_value(value)},' for key, value in pairs]
-    lines[-1] = lines[-1].rstrip(",")
-    return "```json\n{\n" + "\n".join(lines) + "\n}\n```"
+def _json_block(keys: Sequence[str], values: Sequence[float], factors: Iterable[float]) -> str:
+    lines = [
+        f'    "{key}": {format_value(value * factor)}'
+        for key, value, factor in zip(keys, values, factors)
+    ]
+    return "```json\n{\n" + ",\n".join(lines) + "\n}\n```"
 
 
 def settings_block(settings: MagnetSettings) -> str:
     """Magnet settings as the prompts' JSON snippet (angles in mrad)."""
-    return _json_block([
-        ("Q1", settings.q1),
-        ("Q2", settings.q2),
-        ("CV", settings.cv * 1e3),
-        ("Q3", settings.q3),
-        ("CH", settings.ch * 1e3),
-    ])
+    return _json_block(SETTING_KEYS, settings.as_tuple(), _PROMPT_FACTORS)
 
 
-def _parameters_block(parameters) -> str:
-    return _json_block([
-        ("mu_x", parameters.mu_x),
-        ("sigma_x", parameters.sigma_x),
-        ("mu_y", parameters.mu_y),
-        ("sigma_y", parameters.sigma_y),
-    ])
+def _parameters_block(parameters: BeamParameters) -> str:
+    return _json_block(_PARAMETER_NAMES, parameters.as_tuple(), repeat(1.0))
 
 
 def template_text(kind: str) -> str:
@@ -272,10 +272,7 @@ def parse(response_text: str) -> MagnetSettings | ParseFailure:
 
     raw = candidates[0]
     # multiply by 1e-3 rather than divide by 1e3: the two round differently
-    return MagnetSettings(
-        q1=raw["Q1"],
-        q2=raw["Q2"],
-        cv=raw["CV"] * 1e-3,
-        q3=raw["Q3"],
-        ch=raw["CH"] * 1e-3,
-    )
+    return MagnetSettings(**{
+        name: raw[key] * 1e-3 if name in _MRAD else raw[key]
+        for name, key in zip(ACTUATOR_NAMES, SETTING_KEYS)
+    })

@@ -18,7 +18,7 @@ Out-of-range proposals are clamped on application and the clamp recorded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "Trial",
     "TrialGeneratorConfig",
     "TuningEnvironment",
-    "mae",
     "make_trial",
     "objective",
 ]
@@ -78,9 +77,7 @@ class MagnetSettings:
         return MagnetSettings(*clamped_values), tuple(clamped_names)
 
     def in_range(self) -> bool:
-        return all(
-            lo <= v <= hi for v, (lo, hi) in zip(self.as_tuple(), self.ranges())
-        )
+        return not self.clamped()[1]
 
 
 def objective(observed: BeamParameters, target: BeamParameters) -> float:
@@ -91,11 +88,6 @@ def objective(observed: BeamParameters, target: BeamParameters) -> float:
         + abs(observed.sigma_x - target.sigma_x)
         + abs(observed.sigma_y - target.sigma_y)
     )
-
-
-def mae(observed: BeamParameters, target: BeamParameters) -> float:
-    """Mean absolute error over the four beam parameters, in mm."""
-    return objective(observed, target) / 4.0
 
 
 @dataclass(frozen=True)
@@ -205,11 +197,7 @@ def make_trial(seed: int, config: TrialGeneratorConfig | None = None) -> Trial:
         ),
     )
     initial = MagnetSettings(
-        q1=u(QUAD_RANGE),
-        q2=u(QUAD_RANGE),
-        cv=u(CORRECTOR_RANGE),
-        q3=u(QUAD_RANGE),
-        ch=u(CORRECTOR_RANGE),
+        **{name: u(lo_hi) for name, lo_hi in zip(ACTUATOR_NAMES, MagnetSettings.ranges())}
     )
     return Trial(
         trial_id=f"trial-{seed:03d}",
@@ -241,22 +229,22 @@ class TuningEnvironment:
         noise_sigma: float = 0.0,
         seed: int | None = None,
     ) -> None:
+        self.noise_sigma = float(noise_sigma)
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be a finite value >= 0, got {noise_sigma!r}")
         self.trial = trial
         self.lattice = Lattice(
             geometry=geometry or LatticeGeometry(),
             quad_misalignments=trial.quad_misalignments,
-            screen_misalignment=trial.screen_misalignment,
         )
-        self.noise_sigma = float(noise_sigma)
         self._seed = seed
-        self._rng = np.random.default_rng(seed)
         self.history: list[Sample] = []
 
     def _measure(self, settings: MagnetSettings) -> BeamParameters:
         state = track(self.lattice, settings, self.trial.incoming)
         return read_screen(
             state,
-            screen_misalignment=self.lattice.screen_misalignment,
+            screen_misalignment=self.trial.screen_misalignment,
             noise_sigma=self.noise_sigma,
             rng=self._rng if self.noise_sigma > 0 else None,
         )
@@ -305,10 +293,8 @@ def trial_to_dict(trial: Trial) -> dict:
         "trial_id": trial.trial_id,
         "seed": trial.seed,
         "target_m": {
-            "mu_x": trial.target.mu_x * 1e-3,
-            "sigma_x": trial.target.sigma_x * 1e-3,
-            "mu_y": trial.target.mu_y * 1e-3,
-            "sigma_y": trial.target.sigma_y * 1e-3,
+            field.name: getattr(trial.target, field.name) * 1e-3
+            for field in fields(BeamParameters)
         },
         "incoming": {
             "mean": [float(v) for v in trial.incoming.mean],
@@ -317,11 +303,7 @@ def trial_to_dict(trial: Trial) -> dict:
         "quad_misalignments_m": [list(o) for o in trial.quad_misalignments],
         "screen_misalignment_m": list(trial.screen_misalignment),
         "initial_settings": {
-            "q1": trial.initial_settings.q1,
-            "q2": trial.initial_settings.q2,
-            "cv": trial.initial_settings.cv,
-            "q3": trial.initial_settings.q3,
-            "ch": trial.initial_settings.ch,
+            name: getattr(trial.initial_settings, name) for name in ACTUATOR_NAMES
         },
     }
 
@@ -333,10 +315,7 @@ def trial_from_dict(data: dict) -> Trial:
         trial_id=str(data["trial_id"]),
         seed=int(data["seed"]),
         target=BeamParameters(
-            mu_x=target["mu_x"] * 1e3,
-            sigma_x=target["sigma_x"] * 1e3,
-            mu_y=target["mu_y"] * 1e3,
-            sigma_y=target["sigma_y"] * 1e3,
+            **{field.name: target[field.name] * 1e3 for field in fields(BeamParameters)}
         ),
         incoming=TransverseState(
             np.asarray(data["incoming"]["mean"], dtype=float),
@@ -346,13 +325,7 @@ def trial_from_dict(data: dict) -> Trial:
             (float(dx), float(dy)) for dx, dy in data["quad_misalignments_m"]
         ),
         screen_misalignment=tuple(float(v) for v in data["screen_misalignment_m"]),
-        initial_settings=MagnetSettings(
-            q1=float(init["q1"]),
-            q2=float(init["q2"]),
-            cv=float(init["cv"]),
-            q3=float(init["q3"]),
-            ch=float(init["ch"]),
-        ),
+        initial_settings=MagnetSettings(**{name: float(init[name]) for name in ACTUATOR_NAMES}),
     )
 
 
@@ -361,6 +334,8 @@ def trials_to_document(trials: Iterable[Trial]) -> dict:
 
 
 def trials_from_document(doc: dict) -> list[Trial]:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a trial fixture is a mapping, got {type(doc).__name__}")
     if doc.get("schema") != TRIAL_SCHEMA:
         raise ValueError(
             f"unsupported trial fixture schema {doc.get('schema')!r}, expected {TRIAL_SCHEMA!r}"

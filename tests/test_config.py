@@ -33,6 +33,18 @@ def test_partial_override_merges(tmp_path):
     assert config.noise_sigma() == 2.0e-5
 
 
+@pytest.mark.parametrize("value, shown", [
+    ("-1", "-1"), (".nan", "nan"), (".inf", "inf"),
+], ids=["negative", "nan", "inf"])
+def test_negative_or_nonfinite_noise_rejected(tmp_path, value, shown):
+    # read_screen adds noise only above 0, so such a value would run noiseless
+    path = tmp_path / "noise.yaml"
+    path.write_text(f"noise:\n  screen_position_sigma_m: {value}\n")
+    expected = rf"^noise\.screen_position_sigma_m must be a finite value >= 0, got {shown}$"
+    with pytest.raises(ValueError, match=expected):
+        load_config(path)
+
+
 def test_trial_generator_ranges_parsed(tmp_path):
     path = tmp_path / "override.yaml"
     path.write_text("trial_generator:\n  target_position_mm: [-1.0, 1.0]\n")

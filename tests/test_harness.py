@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,10 @@ class TestEpisode:
         assert record.steps_taken == 50
         assert record.model_calls == 100  # every step needed both attempts
         assert all(a.attempt in (1, 2) for a in record.transcripts)
+        # a second attempt shares its step
+        assert [a.step for a in record.transcripts] == [
+            step for step in range(1, 51) for _ in (1, 2)
+        ]
 
     def test_double_failure_terminates_run(self):
         k = 7
@@ -85,6 +90,9 @@ class TestEpisode:
         assert record.termination == "double_parse_failure"
         assert record.steps_taken == k - 1
         assert record.model_calls == k + 1  # k-1 good calls + 2 failures
+        # the aborted step is the one after the last step taken
+        assert [a.step for a in record.transcripts] == [*range(1, k), k, k]
+        assert record.transcripts[-1].step == record.steps_taken + 1
 
     def test_transport_failure_terminates_run(self):
         trial = make_trial(1)
@@ -95,6 +103,8 @@ class TestEpisode:
         assert record.termination == "transport_failure"
         assert record.steps_taken == 3
         assert record.transcripts[-1].failure_reason == "ScriptExhausted"
+        assert [a.step for a in record.transcripts] == [1, 2, 3, 4]
+        assert record.transcripts[-1].step == record.steps_taken + 1
 
     def test_second_chance_resends_identical_prompt(self):
         trial = make_trial(2)
@@ -217,7 +227,7 @@ class TestMetrics:
         def with_final(delta_mm: float) -> RunRecord:
             improved = Sample(1, base.settings, base.parameters, base.objective - 4 * delta_mm)
             return RunRecord(
-                trial_id=record.trial_id, seed=0, optimizer_id="t", budget=1,
+                trial_id=record.trial_id, seed=0, budget=1,
                 samples=[base, improved], transcripts=[], termination="budget_exhausted",
             )
 
@@ -244,7 +254,7 @@ class TestMetrics:
         for final_mae in (base.mae, base.mae - 0.039, base.mae - 0.041, 0.0):
             improved = Sample(1, base.settings, base.parameters, 4 * final_mae)
             candidate = RunRecord(
-                trial_id=record.trial_id, seed=0, optimizer_id="t", budget=1,
+                trial_id=record.trial_id, seed=0, budget=1,
                 samples=[base, improved], transcripts=[], termination="budget_exhausted",
             )
             success = compute_metrics(candidate).run_success
@@ -257,7 +267,7 @@ class TestMetrics:
         base = run_episode(trial, DoNothing(), budget=1).samples[0]
         perfect = Sample(0, base.settings, base.parameters, 0.0)
         record = RunRecord(
-            trial_id="t", seed=0, optimizer_id="x", budget=1, samples=[perfect, perfect],
+            trial_id="t", seed=0, budget=1, samples=[perfect, perfect],
             transcripts=[], termination="budget_exhausted",
         )
         metrics = compute_metrics(record)
@@ -274,7 +284,7 @@ def _record_with_success(trial_id: str, seed: int, success: bool) -> RunRecord:
     final_mae = 0.5 if success else 1.0  # 500 um improvement vs none
     final = Sample(1, settings, params, objective=4 * final_mae)
     return RunRecord(
-        trial_id=trial_id, seed=seed, optimizer_id="fake", budget=1,
+        trial_id=trial_id, seed=seed, budget=1,
         samples=[initial, final], transcripts=[], termination="budget_exhausted",
     )
 
@@ -523,6 +533,10 @@ class TestFixtures:
         assert [t.seed for t in canonical_trials()] == list(CANONICAL_SEEDS)
 
 
+_RUN = ["run", "--optimizer", "do-nothing", "--out", "{tmp}/r"]
+_GENERATE = ["trials", "generate", "--seed", "1"]
+
+
 class TestCLI:
     def test_run_report_and_trials_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "results"
@@ -543,6 +557,8 @@ class TestCLI:
         assert len(doc["trials"]) == 3
 
         # fixture generated from the canonical seeds equals the shipped suite
+        shipped = resources.files("beamtune.resources").joinpath("trials_v1.yaml")
+        assert fixture.read_bytes() == shipped.read_bytes()
         assert cli_main([
             "run", "--optimizer", "do-nothing", "--budget", "2",
             "--trials-fixture", str(fixture), "--out", str(tmp_path / "r2"),
@@ -633,6 +649,50 @@ class TestCLI:
             flags = [*flags, "--config", str(config)]
         with pytest.raises(SystemExit, match=f"^{message}$"):
             cli_main(["run", "--optimizer", "do-nothing", *flags, "--out", str(tmp_path / "r")])
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("argv, files, message", [
+        ([*_RUN, "--config", "{tmp}/absent.yaml"], {},
+         r"^--config: \[Errno 2\] No such file or directory: '.*absent\.yaml'$"),
+        ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "lattice: {q2: 0.1\n"},
+         r"^--config: while parsing a flow mapping in \".*c\.yaml\", line 1, column 10 .*$"),
+        ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "lattice:\n  q2: 0.1\n"},
+         r"^lattice: element order violated at 'q2': starts at 0\.1 before 0\.302$"),
+        ([*_GENERATE, "--config", "{tmp}/c.yaml"], {"c.yaml": "lattice:\n  q2: 0.1\n"},
+         r"^lattice: element order violated at 'q2'"),
+        ([*_RUN, "--config", "{tmp}/c.yaml"],
+         {"c.yaml": "trial_generator:\n  target_sigma_mm: [1.0, 0.5]\n"},
+         r"^trial_generator: malformed generator range target_sigma_mm: \(1\.0, 0\.5\)$"),
+        ([*_GENERATE, "--config", "{tmp}/c.yaml"],
+         {"c.yaml": "trial_generator:\n  target_sigma_mm: [1.0, 0.5]\n"},
+         r"^trial_generator: malformed generator range target_sigma_mm"),
+        ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "harness:\n  workers: two\n"},
+         r"^harness\.workers must be an integer, got 'two'$"),
+        ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "harness:\n  workers: 1.5\n"},
+         r"^harness\.workers must be an integer, got 1\.5$"),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"], {"t.yaml": "schema: [\n"},
+         r"^--trials-fixture: while parsing a flow node .*t\.yaml\", line 2, column 1$"),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"], {"t.yaml": "- 1\n- 2\n"},
+         r"^--trials-fixture: a trial fixture is a mapping, got list$"),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"],
+         {"t.yaml": "schema: beamtune/trials/v1\ntrials:\n- trial_id: t\n  seed: 1\n"},
+         r"^--trials-fixture: missing field 'target_m'$"),
+        (["report", "--in", "{tmp}"], {},
+         r"^--in: \[Errno 2\] No such file or directory: '.*summary\.json'$"),
+        (["report", "--in", "{tmp}"], {"summary.json": '{"schema": "other/v1"}'},
+         r"^--in: unsupported summary schema 'other/v1'$"),
+    ], ids=[
+        "config-missing", "config-not-yaml", "run-lattice", "generate-lattice",
+        "run-trial-generator", "generate-trial-generator", "workers-word", "workers-float",
+        "fixture-not-yaml", "fixture-list", "fixture-missing-field",
+        "report-no-summary", "report-foreign-schema",
+    ])
+    def test_malformed_input_exits_with_one_line(self, tmp_path, argv, files, message):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        with pytest.raises(SystemExit, match=message) as exit_info:
+            cli_main([arg.format(tmp=tmp_path) for arg in argv])
+        assert "\n" not in exit_info.value.code
         assert not (tmp_path / "r").exists()
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):

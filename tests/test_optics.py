@@ -186,7 +186,6 @@ class TestTrack:
     def test_mean_affinity(self):
         lattice = Lattice(
             quad_misalignments=((1e-4, -2e-4), (0.0, 3e-4), (-2e-4, 1e-4)),
-            screen_misalignment=(1e-4, -1e-4),
         )
         settings = centred_settings(q1=12.0, q2=-20.0, cv=3e-3, q3=8.0, ch=-2e-3)
         sig = (2e-4, 1e-4, 2e-4, 1e-4)

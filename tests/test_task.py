@@ -14,7 +14,6 @@ from beamtune.task import (
     TrialGeneratorConfig,
     TuningEnvironment,
     make_trial,
-    mae,
     objective,
     trial_from_dict,
     trial_to_dict,
@@ -32,13 +31,13 @@ class TestObjective:
     def test_equal_is_zero(self):
         b = beam(1.0, 0.2, -0.5, 0.3)
         assert objective(b, b) == 0.0
-        assert mae(b, b) == 0.0
+        assert objective(b, b) / 4.0 == 0.0
 
     def test_paper_example_arithmetic(self):
         observed = beam(-1038.63, 1893.75, -2353.77, 2226.94)
         target = beam(1.20, 0.11, 1.25, 0.06)
         assert objective(observed, target) == pytest.approx(7515.37, abs=1e-9)
-        assert mae(observed, target) == pytest.approx(1878.8425, abs=1e-9)
+        assert objective(observed, target) / 4.0 == pytest.approx(1878.8425, abs=1e-9)
 
     def test_unit_differences(self):
         assert objective(beam(1, 1, 1, 1), beam(0, 0, 0, 0)) == pytest.approx(4.0)
@@ -79,6 +78,8 @@ class TestMagnetSettings:
 
     def test_in_range_bounds_inclusive(self):
         assert MagnetSettings(30.0, -30.0, 6e-3, 30.0, -6e-3).in_range()
+        assert not MagnetSettings(30.0, -30.0, 6e-3, 30.0, -6.000001e-3).in_range()
+        assert not MagnetSettings(0.0, 0.0, float("nan"), 0.0, 0.0).in_range()
 
 
 class TestMakeTrial:
@@ -137,7 +138,7 @@ class TestEnvironment:
         assert sample.step_index == 0
         assert sample.settings == env.trial.initial_settings
         assert sample.mae == pytest.approx(
-            mae(sample.parameters, env.trial.target), abs=0
+            objective(sample.parameters, env.trial.target) / 4.0, abs=0
         )
         assert sample.objective == 4.0 * sample.mae
 
@@ -207,6 +208,11 @@ class TestEnvironment:
         b = noisy.reset()
         assert a.parameters.sigma_x == b.parameters.sigma_x
         assert a.parameters.mu_x != b.parameters.mu_x
+
+    @pytest.mark.parametrize("sigma", [-2e-5, float("nan"), float("inf")])
+    def test_negative_or_nonfinite_noise_rejected(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be a finite value >= 0"):
+            TuningEnvironment(make_trial(1), noise_sigma=sigma)
 
     def test_noisy_reset_reproducible_for_fixed_seed(self):
         trial = make_trial(1)
