@@ -7,6 +7,15 @@ evaluation harness (3 trials x 3 seeds x 50 steps) with the benchmark's
 metrics and success tiers.
 """
 
+import os
+
+# The GP's matrices have at most about 50 rows, where an OpenBLAS thread
+# pool costs more than it saves; the results are the same bits either way.
+# So default to one thread, before .optics loads numpy, unless the user set
+# a count: OpenBLAS reads OPENBLAS_NUM_THREADS first, then OMP_NUM_THREADS.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 __version__ = "0.1.0"
 
 from .optics import BeamParameters, Lattice, LatticeGeometry, TransverseState

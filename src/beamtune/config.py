@@ -7,9 +7,9 @@ packaged defaults, and a key the defaults do not have is an error, except
 a new backend name under ``llm.backends``, whose keys must be ones the
 packaged backends have; every backend needs a ``base_url``. The lattice
 and trial generator sections must be ones their constructors accept, the
-noise sigma a finite value >= 0 and the harness counts integers. Credentials
-never live in config files; the API key is read from the ``LLM_API_KEY``
-environment variable by the llm module.
+noise sigma a finite value >= 0 and the harness counts integers, with at
+least one worker. Credentials never live in config files; the API key is
+read from the ``LLM_API_KEY`` environment variable by the llm module.
 """
 
 from __future__ import annotations
@@ -147,4 +147,7 @@ def _checked(config: Config) -> Config:
     for key, value in config.data["harness"].items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"harness.{key} must be an integer, got {value!r}")
+    workers = config.data["harness"]["workers"]
+    if workers < 1:
+        raise ValueError(f"harness.workers must be at least 1, got {workers}")
     return config

@@ -177,6 +177,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_trials_generate(args) -> int:
+    if args.count < 1:
+        raise SystemExit(f"count must be at least 1, got {args.count}")
     config = _load_config(args)
     trials = [
         make_trial(seed, config.trial_generator())

@@ -86,8 +86,15 @@ def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     raise GPFitError("kernel matrix is not positive definite")
 
 
-def _nll_and_grad(log_theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Negative log marginal likelihood and its gradient in log space."""
+def _nll_and_grad(
+    log_theta: np.ndarray, X: np.ndarray, diffs: np.ndarray, eye: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Negative log marginal likelihood and its gradient in log space.
+
+    ``diffs[d]`` holds the pairwise differences ``X[:, d][:, None] -
+    X[:, d][None, :]`` and ``eye`` the ``n x n`` identity; both depend on
+    ``X`` alone, so a fit builds them once for all its evaluations.
+    """
     n, dim = X.shape
     lengthscales = np.exp(log_theta[:dim])
     signal_var = math.exp(2.0 * log_theta[dim])
@@ -95,10 +102,13 @@ def _nll_and_grad(log_theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[
 
     d2 = _scaled_sq_dists(X, X, lengthscales)
     r = np.sqrt(d2)
-    Kf = _matern52(r, signal_var)
-    K = Kf + noise_var * np.eye(n)
+    # _matern52's factors, shared with the lengthscale gradient below
+    near = 1.0 + _SQRT5 * r
+    decay = np.exp(-_SQRT5 * r)
+    Kf = signal_var * (near + 5.0 / 3.0 * r**2) * decay
+    K = Kf + noise_var * eye
     try:
-        L = cholesky(K + 1e-12 * np.eye(n), lower=True)
+        L = cholesky(K + 1e-12 * eye, lower=True)
     except np.linalg.LinAlgError:
         return 1e25, np.zeros_like(log_theta)
 
@@ -110,15 +120,15 @@ def _nll_and_grad(log_theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[
     )
 
     # dNLL/dtheta = 0.5 * trace((K^-1 - alpha alpha^T) dK/dtheta)
-    Kinv = cho_solve((L, True), np.eye(n))
+    Kinv = cho_solve((L, True), eye)
     A = Kinv - np.outer(alpha, alpha)
 
     grad = np.zeros_like(log_theta)
     # dK/dlog(l_d) = signal_var * 5/3 * (1 + sqrt5 r) * exp(-sqrt5 r) * s_d
     # with s_d the d-th scaled squared distance component.
-    base = signal_var * (5.0 / 3.0) * (1.0 + _SQRT5 * r) * np.exp(-_SQRT5 * r)
+    base = signal_var * (5.0 / 3.0) * near * decay
     for d in range(dim):
-        s_d = ((X[:, d][:, None] - X[:, d][None, :]) / lengthscales[d]) ** 2
+        s_d = (diffs[d] / lengthscales[d]) ** 2
         grad[d] = 0.5 * float(np.sum(A * (base * s_d)))
     grad[dim] = 0.5 * float(np.sum(A * (2.0 * Kf)))
     grad[dim + 1] = 0.5 * float(np.trace(A)) * 2.0 * noise_var
@@ -199,13 +209,15 @@ class GaussianProcess:
         if warm_start is not None:
             starts.insert(0, np.clip(warm_start, [b[0] for b in bounds], [b[1] for b in bounds]))
 
+        diffs = X.T[:, :, None] - X.T[:, None, :]
+        eye = np.eye(len(X))
         best_theta = None
         best_nll = np.inf
         for start in starts:
             result = optimize.minimize(
                 _nll_and_grad,
                 start,
-                args=(X, y_std),
+                args=(X, diffs, eye, y_std),
                 jac=True,
                 method="L-BFGS-B",
                 bounds=bounds,

@@ -340,4 +340,7 @@ def trials_from_document(doc: dict) -> list[Trial]:
         raise ValueError(
             f"unsupported trial fixture schema {doc.get('schema')!r}, expected {TRIAL_SCHEMA!r}"
         )
-    return [trial_from_dict(d) for d in doc["trials"]]
+    trials = [trial_from_dict(d) for d in doc["trials"]]
+    if not trials:
+        raise ValueError("a trial fixture needs at least one trial, got none")
+    return trials

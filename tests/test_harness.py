@@ -427,13 +427,22 @@ class TestEvaluateAndReport:
         assert all(abs(v) < 20.0 for v in improvements)  # 20 um on mm-scale MAE
 
     def test_es_competent_in_noise_mode(self):
-        # criterion 6's ES thresholds, with 20 um screen-position noise;
-        # BO's noise-mode suite takes about a minute, so it is not run here
+        # criterion 6's ES thresholds, with 20 um screen-position noise
         summary = evaluate(canonical_trials(), lambda t, s: ExtremumSeeking(seed=s), "es",
                            noise_sigma=2e-5)
         mean_improvement = summary.aggregates["normalized_improvement_pct"][0]
         assert summary.total_runs == 9
         assert summary.successes >= 7 and mean_improvement <= -40.0
+
+    @pytest.mark.slow
+    def test_bo_competent_in_noise_mode(self):
+        # criterion 6's BO thresholds, with 20 um screen-position noise
+        summary = evaluate(canonical_trials(), lambda t, s: BayesianOptimizer(seed=s), "bo",
+                           noise_sigma=2e-5)
+        mean_improvement = summary.aggregates["normalized_improvement_pct"][0]
+        assert summary.total_runs == 9
+        assert summary.successes == 9 and summary.outright_success
+        assert mean_improvement <= -70.0
 
     def test_suite_bit_reproducible_with_fixed_script(self):
         trials = canonical_trials()[:2]
@@ -670,6 +679,14 @@ class TestCLI:
          r"^harness\.workers must be an integer, got 'two'$"),
         ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "harness:\n  workers: 1.5\n"},
          r"^harness\.workers must be an integer, got 1\.5$"),
+        ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "harness:\n  workers: -4\n"},
+         r"^harness\.workers must be at least 1, got -4$"),
+        ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "harness:\n  workers: 0\n"},
+         r"^harness\.workers must be at least 1, got 0$"),
+        ([*_GENERATE, "--count", "0", "--out", "{tmp}/r"], {},
+         r"^count must be at least 1, got 0$"),
+        ([*_GENERATE, "--count", "-2", "--out", "{tmp}/r"], {},
+         r"^count must be at least 1, got -2$"),
         ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"], {"t.yaml": "schema: [\n"},
          r"^--trials-fixture: while parsing a flow node .*t\.yaml\", line 2, column 1$"),
         ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"], {"t.yaml": "- 1\n- 2\n"},
@@ -677,6 +694,9 @@ class TestCLI:
         ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"],
          {"t.yaml": "schema: beamtune/trials/v1\ntrials:\n- trial_id: t\n  seed: 1\n"},
          r"^--trials-fixture: missing field 'target_m'$"),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"],
+         {"t.yaml": "schema: beamtune/trials/v1\ntrials: []\n"},
+         r"^--trials-fixture: a trial fixture needs at least one trial, got none$"),
         (["report", "--in", "{tmp}"], {},
          r"^--in: \[Errno 2\] No such file or directory: '.*summary\.json'$"),
         (["report", "--in", "{tmp}"], {"summary.json": '{"schema": "other/v1"}'},
@@ -684,7 +704,8 @@ class TestCLI:
     ], ids=[
         "config-missing", "config-not-yaml", "run-lattice", "generate-lattice",
         "run-trial-generator", "generate-trial-generator", "workers-word", "workers-float",
-        "fixture-not-yaml", "fixture-list", "fixture-missing-field",
+        "workers-negative", "workers-zero", "generate-count-0", "generate-count-negative",
+        "fixture-not-yaml", "fixture-list", "fixture-missing-field", "fixture-no-trials",
         "report-no-summary", "report-foreign-schema",
     ])
     def test_malformed_input_exits_with_one_line(self, tmp_path, argv, files, message):

@@ -25,6 +25,7 @@ from beamtune.optimizers import (
     expected_improvement,
 )
 from beamtune.optimizers.base import box_bounds, denormalize, normalize
+from beamtune.optimizers import gp as gp_module
 from beamtune.optimizers.gp import GPFitError, expected_improvement_and_gradient
 from beamtune.optimizers.extremum_seeking import default_frequencies
 from beamtune.task import Sample
@@ -173,6 +174,50 @@ class TestGaussianProcess:
         gp = GaussianProcess.fit(X, np.array([2.0, 2.0]))
         mean, std = gp.predict(np.array([[0.25] * 5]))
         assert np.isfinite(mean[0]) and np.isfinite(std[0])
+
+
+def _reference_nll_and_grad(log_theta, X, y):
+    """The likelihood computed from ``X`` alone on every call, with the
+    kernel and its lengthscale-gradient factor each taking their own
+    exponential: the reference for the fit's per-fit invariants."""
+    n, dim = X.shape
+    lengthscales = np.exp(log_theta[:dim])
+    signal_var = math.exp(2.0 * log_theta[dim])
+    noise_var = math.exp(2.0 * log_theta[dim + 1])
+    r = np.sqrt(gp_module._scaled_sq_dists(X, X, lengthscales))
+    Kf = gp_module._matern52(r, signal_var)
+    K = Kf + noise_var * np.eye(n)
+    L = gp_module.cholesky(K + 1e-12 * np.eye(n), lower=True)
+    alpha = gp_module.cho_solve((L, True), y)
+    nll = (
+        0.5 * float(y @ alpha)
+        + float(np.sum(np.log(np.diag(L))))
+        + 0.5 * n * math.log(2.0 * math.pi)
+    )
+    A = gp_module.cho_solve((L, True), np.eye(n)) - np.outer(alpha, alpha)
+    grad = np.zeros_like(log_theta)
+    base = signal_var * (5.0 / 3.0) * (1.0 + math.sqrt(5.0) * r) * np.exp(-math.sqrt(5.0) * r)
+    for d in range(dim):
+        s_d = ((X[:, d][:, None] - X[:, d][None, :]) / lengthscales[d]) ** 2
+        grad[d] = 0.5 * float(np.sum(A * (base * s_d)))
+    grad[dim] = 0.5 * float(np.sum(A * (2.0 * Kf)))
+    grad[dim + 1] = 0.5 * float(np.trace(A)) * 2.0 * noise_var
+    return nll, grad
+
+
+class TestLikelihood:
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_same_bits_as_the_reference(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.uniform(-1, 1, size=(n, 5))
+        y = rng.standard_normal(n)
+        diffs = X.T[:, :, None] - X.T[:, None, :]
+        for _ in range(5):
+            log_theta = np.concatenate([rng.uniform(-2.0, 2.0, 5), rng.uniform(-3.0, 1.0, 2)])
+            nll, grad = gp_module._nll_and_grad(log_theta, X, diffs, np.eye(n), y)
+            ref_nll, ref_grad = _reference_nll_and_grad(log_theta, X, y)
+            assert nll == ref_nll
+            assert np.array_equal(grad, ref_grad)
 
 
 class TestExpectedImprovement:
