@@ -6,8 +6,9 @@ user file only needs the keys it overrides; everything else comes from the
 packaged defaults, and a key the defaults do not have is an error, except
 a new backend name under ``llm.backends``, whose keys must be ones the
 packaged backends have; every backend needs a ``base_url``. The lattice
-and trial generator sections must be ones their constructors accept, the
-noise sigma a finite value >= 0 and the harness counts integers, with at
+and trial generator sections must be ones their constructors accept. The
+noise sigma, the llm loop's scalars, the es and bo options and the harness
+counts must each be of the kind ``_VALUE_RULES`` names for it, with at
 least one worker. Credentials never live in config files; the API key is
 read from the ``LLM_API_KEY`` environment variable by the llm module.
 """
@@ -131,6 +132,45 @@ def load_config(path: str | Path | None = None) -> Config:
     return _checked(Config(data))
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# (dotted key, what its value must be, the test of that)
+_VALUE_RULES = (
+    ("noise.screen_position_sigma_m", "a finite value >= 0",
+     lambda v: _is_number(v) and v >= 0),
+    ("llm.window", "an integer >= 1", lambda v: _is_integer(v) and v >= 1),
+    ("llm.temperature", "null or a finite value >= 0",
+     lambda v: v is None or (_is_number(v) and v >= 0)),
+    ("llm.timeout_s", "a finite value > 0", lambda v: _is_number(v) and v > 0),
+    ("llm.second_chance_feedback", "true or false", lambda v: isinstance(v, bool)),
+    ("optimizers.es.gain", "a finite value", _is_number),
+    ("optimizers.es.amplitude", "a finite value >= 0", lambda v: _is_number(v) and v >= 0),
+    ("optimizers.es.dt", "a finite value", _is_number),
+    ("optimizers.bo.n_init", "an integer", _is_integer),
+    ("optimizers.bo.n_candidates", "an integer >= 1", lambda v: _is_integer(v) and v >= 1),
+    ("optimizers.bo.n_refine", "an integer >= 0", lambda v: _is_integer(v) and v >= 0),
+    ("harness.budget", "an integer", _is_integer),
+    ("harness.seeds", "an integer", _is_integer),
+    ("harness.workers", "an integer", _is_integer),
+)
+
+
+def _lookup(data: dict, dotted: str):
+    section = data
+    path = dotted.split(".")
+    for depth, key in enumerate(path):
+        if not isinstance(section, dict):
+            raise ValueError(f"{'.'.join(path[:depth])} must be a mapping, got {section!r}")
+        section = section[key]
+    return section
+
+
 def _checked(config: Config) -> Config:
     """Reject the values a run would fail on or silently misread."""
     for section, build in (("lattice", config.geometry),
@@ -139,14 +179,10 @@ def _checked(config: Config) -> Config:
             build()
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{section}: {exc}") from exc
-    sigma = config.data["noise"]["screen_position_sigma_m"]
-    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(
-            f"noise.screen_position_sigma_m must be a finite value >= 0, got {sigma!r}"
-        )
-    for key, value in config.data["harness"].items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"harness.{key} must be an integer, got {value!r}")
+    for key, kind, valid in _VALUE_RULES:
+        value = _lookup(config.data, key)
+        if not valid(value):
+            raise ValueError(f"{key} must be {kind}, got {value!r}")
     workers = config.data["harness"]["workers"]
     if workers < 1:
         raise ValueError(f"harness.workers must be at least 1, got {workers}")

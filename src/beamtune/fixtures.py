@@ -29,6 +29,13 @@ def canonical_trials(config: TrialGeneratorConfig | None = None) -> list[Trial]:
 
     With a non-default generator config the trials are regenerated instead
     of loaded, since the shipped file pins the default ranges only.
+
+    The file stores targets in metres, and that round trip is not exact:
+    the shipped trial-002 ``target.mu_y`` is 1.2569029623771215 mm, one ulp
+    above the 1.2569029623771213 that :func:`generate_canonical_trials` and
+    :func:`~beamtune.task.make_trial` give. So the default suite and a
+    regenerated one differ in that bit, and BO episodes are chaotic in such
+    bits. The shipped file stays the source of truth for the default suite.
     """
     if config is not None and config != TrialGeneratorConfig():
         return generate_canonical_trials(config)

@@ -115,9 +115,9 @@ def _llm_factory(args, config: Config):
             target=trial.target,
             temperature=llm_options["temperature"],
             timeout=float(llm_options["timeout_s"]),
-            window=int(llm_options["window"]),
+            window=llm_options["window"],
             system_prompt=default_system_prompt(args.model),
-            second_chance_feedback=bool(llm_options["second_chance_feedback"]),
+            second_chance_feedback=llm_options["second_chance_feedback"],
         )
 
     return factory, f"llm-{args.model}-{args.prompt}"

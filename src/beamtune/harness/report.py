@@ -4,8 +4,9 @@
 (sorted keys, no timestamps) and sufficient to regenerate the CSV, which
 mirrors the benchmark's result table columns (final beam difference in um,
 normalised beam improvement in %, normalised integrated MAE in %, number
-of successful steps). Transcripts go to ``runs/<trial>_s<seed>.jsonl``,
-one line per model call.
+of successful steps). Transcripts go to
+``runs/<optimizer>_<trial>_s<seed>.jsonl``, one line per model call, for
+the runs that made model calls.
 """
 
 from __future__ import annotations
@@ -138,7 +139,11 @@ def _transcript_lines(record: RunRecord) -> list[str]:
 
 
 def write_outputs(summaries: list[SuiteSummary], out_dir: str | Path) -> dict[str, Path]:
-    """Write summary.json, summary.csv and runs/*.jsonl under ``out_dir``."""
+    """Write summary.json, summary.csv and runs/*.jsonl under ``out_dir``.
+
+    ``runs/`` is always created; it holds a transcript for each run with at
+    least one model call, so it stays empty for optimizers without one.
+    """
     out = Path(out_dir)
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
@@ -156,6 +161,8 @@ def write_outputs(summaries: list[SuiteSummary], out_dir: str | Path) -> dict[st
 
     for summary in summaries:
         for record in summary.records:
+            if not record.transcripts:
+                continue
             name = f"{summary.optimizer_id}_{record.trial_id}_s{record.seed}.jsonl"
             path = runs_dir / _sanitize(name)
             path.write_text(

@@ -162,14 +162,6 @@ def quad_blocks(k1: float, length: float) -> tuple[np.ndarray, np.ndarray]:
 # A plane element is (block, offset in position, offset in slope): it maps
 # (u, u') to block @ (u, u') + offset.
 
-def _drift(length: float):
-    """(x, y) elements of a field-free drift."""
-    if not math.isfinite(length) or length < 0:
-        raise OpticsError(f"invalid drift length {length!r}")
-    element = (_drift_block(length), 0.0, 0.0)
-    return element, element
-
-
 def _quad(k1: float, length: float, misalignment: tuple[float, float]):
     """(x, y) elements of a quadrupole whose axis is displaced by (dx, dy).
 
@@ -302,23 +294,18 @@ def track(lattice: Lattice, settings, incoming: TransverseState) -> TransverseSt
     clamping to actuator ranges first.
     """
     g = lattice.geometry
-    d = [_drift(length) for length in g.drift_lengths()]
+    d = [(_drift_block(length), 0.0, 0.0) for length in g.drift_lengths()]
     m = lattice.quad_misalignments
-    elements = [  # (x, y) element pairs in beam order
-        d[0],
-        _quad(settings.q1, g.quad_length, m[0]),
-        d[1],
-        _quad(settings.q2, g.quad_length, m[1]),
-        d[2],
-        (_kick(0.0), _kick(settings.cv)),
-        d[3],
-        _quad(settings.q3, g.quad_length, m[2]),
-        d[4],
-        (_kick(settings.ch), _kick(0.0)),
-        d[5],
-    ]
-    x_block, x_u, x_slope = _compose(x for x, _ in elements)
-    y_block, y_u, y_slope = _compose(y for _, y in elements)
+    q1 = _quad(settings.q1, g.quad_length, m[0])
+    q2 = _quad(settings.q2, g.quad_length, m[1])
+    cv = _kick(settings.cv)
+    q3 = _quad(settings.q3, g.quad_length, m[2])
+    ch = _kick(settings.ch)
+    # Each plane's elements in beam order. A corrector does nothing in the
+    # other plane: as an identity element it would leave the composed block
+    # and offset the same bits, so it is left out.
+    x_block, x_u, x_slope = _compose([d[0], q1[0], d[1], q2[0], d[2], d[3], q3[0], d[4], ch, d[5]])
+    y_block, y_u, y_slope = _compose([d[0], q1[1], d[1], q2[1], d[2], cv, d[3], q3[1], d[4], d[5]])
 
     R = np.zeros((4, 4))
     R[:2, :2] = x_block

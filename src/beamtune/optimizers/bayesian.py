@@ -78,6 +78,10 @@ class BayesianOptimizer:
         self.n_candidates = int(n_candidates)
         self.n_refine = int(n_refine)
         self.budget = int(budget)
+        if self.n_candidates < 1:
+            raise ValueError(f"n_candidates must be at least 1, got {self.n_candidates}")
+        if self.n_refine < 0:
+            raise ValueError(f"n_refine must be non-negative, got {self.n_refine}")
         self.fallback_steps: list[int] = []
         self._warm_start: np.ndarray | None = None
         self._fallback = RandomSearch(seed)

@@ -72,8 +72,13 @@ def _standardize(y: np.ndarray) -> np.ndarray:
     return (y - mean) / scale
 
 
-def _matern52(r: np.ndarray, signal_var: float) -> np.ndarray:
-    return signal_var * (1.0 + _SQRT5 * r + 5.0 / 3.0 * r**2) * np.exp(-_SQRT5 * r)
+def _matern52(r: np.ndarray, signal_var: float) -> tuple[np.ndarray, ...]:
+    """Kernel values ``K`` at scaled distances ``r``, with the factors
+    ``near = 1 + sqrt5 r`` and ``decay = exp(-sqrt5 r)`` that its gradients
+    share: ``K = signal_var * (near + 5/3 r^2) * decay``."""
+    near = 1.0 + _SQRT5 * r
+    decay = np.exp(-_SQRT5 * r)
+    return signal_var * (near + 5.0 / 3.0 * r**2) * decay, near, decay
 
 
 def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
@@ -100,12 +105,7 @@ def _nll_and_grad(
     signal_var = math.exp(2.0 * log_theta[dim])
     noise_var = math.exp(2.0 * log_theta[dim + 1])
 
-    d2 = _scaled_sq_dists(X, X, lengthscales)
-    r = np.sqrt(d2)
-    # _matern52's factors, shared with the lengthscale gradient below
-    near = 1.0 + _SQRT5 * r
-    decay = np.exp(-_SQRT5 * r)
-    Kf = signal_var * (near + 5.0 / 3.0 * r**2) * decay
+    Kf, near, decay = _matern52(np.sqrt(_scaled_sq_dists(X, X, lengthscales)), signal_var)
     K = Kf + noise_var * eye
     try:
         L = cholesky(K + 1e-12 * eye, lower=True)
@@ -165,7 +165,7 @@ class GaussianProcess:
         ls = np.broadcast_to(np.asarray(lengthscales, dtype=float), (X.shape[1],)).copy()
 
         r = np.sqrt(_scaled_sq_dists(X, X, ls))
-        K = _matern52(r, signal_std**2) + noise_std**2 * np.eye(len(X))
+        K = _matern52(r, signal_std**2)[0] + noise_std**2 * np.eye(len(X))
         L, _ = _chol_with_jitter(K)
         alpha = cho_solve((L, True), y_std)
         return cls(
@@ -246,20 +246,22 @@ class GaussianProcess:
         ])
 
     def _posterior(self, U: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Scaled distances ``r``, whitened cross-covariances ``V = L^-1 k``,
-        posterior mean and standard deviation at the rows of ``U``."""
+        """The kernel factors ``near`` and ``decay`` (see :func:`_matern52`),
+        whitened cross-covariances ``V = L^-1 k``, posterior mean and
+        standard deviation at the rows of ``U``."""
         signal_var = self.signal_std**2
-        r = np.sqrt(_scaled_sq_dists(U, self.X, self.lengthscales))
-        Ks = _matern52(r, signal_var)
+        Ks, near, decay = _matern52(
+            np.sqrt(_scaled_sq_dists(U, self.X, self.lengthscales)), signal_var
+        )
         mean = Ks @ self._alpha
         V = solve_triangular(self._L, Ks.T, lower=True)
         var = signal_var - np.sum(V**2, axis=0)
         var = np.where(var < _VARIANCE_FLOOR_FRACTION * signal_var, 0.0, var)
-        return r, V, mean, np.sqrt(np.maximum(var, 0.0))
+        return near, decay, V, mean, np.sqrt(np.maximum(var, 0.0))
 
     def predict(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation, standardized units."""
-        _, _, mean, std = self._posterior(np.atleast_2d(np.asarray(U, dtype=float)))
+        _, _, _, mean, std = self._posterior(np.atleast_2d(np.asarray(U, dtype=float)))
         return mean, std
 
 
@@ -310,11 +312,11 @@ def expected_improvement_and_gradient(
     -(5/3) s^2 (1 + sqrt5 r) exp(-sqrt5 r) (u - x) / l^2.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    r, V, mean, std = gp._posterior(U)
+    near, decay, V, mean, std = gp._posterior(U)
     ei, d_mean, d_std = _ei(gp.incumbent - mean, std)
 
     # J[i, j] = dk(U[i], X[j]) / dU[i], shape (N, n, dim)
-    radial = -(5.0 / 3.0) * gp.signal_std**2 * (1.0 + _SQRT5 * r) * np.exp(-_SQRT5 * r)
+    radial = -(5.0 / 3.0) * gp.signal_std**2 * near * decay
     offsets = (U[:, None, :] - gp.X[None, :, :]) / gp.lengthscales**2
     J = radial[:, :, None] * offsets
     grad_mean = np.einsum("ijd,j->id", J, gp._alpha)

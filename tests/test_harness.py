@@ -683,6 +683,24 @@ class TestCLI:
          r"^harness\.workers must be at least 1, got -4$"),
         ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "harness:\n  workers: 0\n"},
          r"^harness\.workers must be at least 1, got 0$"),
+        ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "harness: null\n"},
+         r"^harness must be a mapping, got None$"),
+        ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "llm: {window: 0}\n"},
+         r"^llm\.window must be an integer >= 1, got 0$"),
+        ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "llm: {temperature: -1.0}\n"},
+         r"^llm\.temperature must be null or a finite value >= 0, got -1\.0$"),
+        ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "llm: {timeout_s: fast}\n"},
+         r"^llm\.timeout_s must be a finite value > 0, got 'fast'$"),
+        ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "llm: {second_chance_feedback: 3}\n"},
+         r"^llm\.second_chance_feedback must be true or false, got 3$"),
+        ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "optimizers: {es: {amplitude: -1.0}}\n"},
+         r"^optimizers\.es\.amplitude must be a finite value >= 0, got -1\.0$"),
+        ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "optimizers: {es: null}\n"},
+         r"^optimizers\.es must be a mapping, got None$"),
+        ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "optimizers: {bo: {n_candidates: 0}}\n"},
+         r"^optimizers\.bo\.n_candidates must be an integer >= 1, got 0$"),
+        ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "optimizers: {bo: {n_refine: -1}}\n"},
+         r"^optimizers\.bo\.n_refine must be an integer >= 0, got -1$"),
         ([*_GENERATE, "--count", "0", "--out", "{tmp}/r"], {},
          r"^count must be at least 1, got 0$"),
         ([*_GENERATE, "--count", "-2", "--out", "{tmp}/r"], {},
@@ -704,7 +722,10 @@ class TestCLI:
     ], ids=[
         "config-missing", "config-not-yaml", "run-lattice", "generate-lattice",
         "run-trial-generator", "generate-trial-generator", "workers-word", "workers-float",
-        "workers-negative", "workers-zero", "generate-count-0", "generate-count-negative",
+        "workers-negative", "workers-zero", "harness-null", "llm-window-0",
+        "llm-temperature-negative", "llm-timeout-word", "llm-second-chance-int",
+        "es-amplitude-negative", "es-null", "bo-n-candidates-0", "bo-n-refine-negative",
+        "generate-count-0", "generate-count-negative",
         "fixture-not-yaml", "fixture-list", "fixture-missing-field", "fixture-no-trials",
         "report-no-summary", "report-foreign-schema",
     ])
@@ -716,15 +737,28 @@ class TestCLI:
         assert "\n" not in exit_info.value.code
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("optimizer", ["es", "do-nothing"])
+    def test_runs_without_model_calls_leave_runs_dir_empty(self, tmp_path, optimizer):
+        out = tmp_path / "results"
+        assert cli_main([
+            "run", "--optimizer", optimizer, "--budget", "2", "--seeds", "1", "--out", str(out),
+        ]) == 0
+        assert (out / "runs").is_dir()
+        assert list((out / "runs").iterdir()) == []
+
     def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats is only needed once a BayesianOptimizer is built
+        # scipy.stats is only needed once a BayesianOptimizer is built,
+        # which loading the config does not do
         import beamtune
 
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(beamtune.__file__).parents[1]), env.get("PYTHONPATH", "")]
         )
-        code = "import sys, beamtune.harness.cli; print('scipy.stats' in sys.modules)"
+        code = (
+            "import sys, beamtune.harness.cli; beamtune.config.load_config(); "
+            "print('scipy.stats' in sys.modules)"
+        )
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )

@@ -6,7 +6,9 @@ Strategy
    integration of the paraxial equations x'' = -k1 x, y'' = +k1 y.
 2. Symplecticity (per-plane determinant 1) across the full k1 range.
 3. Misalignment feed-down identities (frame shift).
-4. Tracking: affinity in the incoming mean, covariance stays symmetric PSD.
+4. Tracking: affinity in the incoming mean, covariance stays symmetric PSD,
+   and the same bits as composing (x, y) element pairs, with an identity
+   element for each corrector in its other plane.
 5. Screen readout conventions and noise behaviour.
 """
 
@@ -160,7 +162,87 @@ def pencil_state(mean=(0.0, 0.0, 0.0, 0.0)) -> TransverseState:
     return TransverseState.from_moments(mean, (2e-4, 1e-4, 2e-4, 1e-4))
 
 
+def _reference_track(lattice: Lattice, settings, incoming: TransverseState) -> TransverseState:
+    """``track`` as (x, y) element pairs in beam order, each corrector with
+    an identity element in the plane it does not act on."""
+    g = lattice.geometry
+
+    def drift(length):
+        element = (np.array([[1.0, length], [0.0, 1.0]]), 0.0, 0.0)
+        return element, element
+
+    def quad(k1, misalignment):
+        return tuple(
+            (block, (1.0 - block[0, 0]) * axis, -block[1, 0] * axis)
+            for block, axis in zip(quad_blocks(k1, g.quad_length), misalignment)
+        )
+
+    def kick(angle):
+        return (np.eye(2), 0.0, angle)
+
+    def compose(elements):
+        matrix = np.eye(2)
+        u = slope = 0.0
+        for block, e_u, e_slope in elements:
+            matrix = block @ matrix
+            u, slope = (
+                block[0, 0] * u + block[0, 1] * slope + e_u,
+                block[1, 0] * u + block[1, 1] * slope + e_slope,
+            )
+        return matrix, u, slope
+
+    d = [drift(length) for length in g.drift_lengths()]
+    m = lattice.quad_misalignments
+    pairs = [
+        d[0], quad(settings.q1, m[0]), d[1], quad(settings.q2, m[1]), d[2],
+        (kick(0.0), kick(settings.cv)), d[3], quad(settings.q3, m[2]), d[4],
+        (kick(settings.ch), kick(0.0)), d[5],
+    ]
+    x_block, x_u, x_slope = compose(x for x, _ in pairs)
+    y_block, y_u, y_slope = compose(y for _, y in pairs)
+    R = np.zeros((4, 4))
+    R[:2, :2] = x_block
+    R[2:, 2:] = y_block
+    mean = R @ incoming.mean + np.array([x_u, x_slope, y_u, y_slope])
+    cov = R @ incoming.covariance @ R.T
+    return TransverseState(mean, 0.5 * (cov + cov.T))
+
+
 class TestTrack:
+    def test_same_bits_as_the_pair_composition(self):
+        rng = np.random.default_rng(11)
+        geometries = (
+            LatticeGeometry(),
+            LatticeGeometry(quad_length=0.08, q1=0.1, q2=0.5, cv=0.7, q3=0.9, ch=1.3, screen=2.0),
+        )
+        signed_zeros = ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0))
+        near_zero_k1 = (0.0, -0.0, 1e-11, -1e-11, 1e-10, -1e-10)
+        for case in range(2000):
+            if case % 3 == 0:
+                misalignments = signed_zeros if case % 2 else Lattice().quad_misalignments
+            else:
+                misalignments = tuple(tuple(rng.uniform(-5e-4, 5e-4, 2)) for _ in range(3))
+            lattice = Lattice(geometries[case % 2], misalignments)
+            values = [float(rng.uniform(lo, hi)) for lo, hi in MagnetSettings.ranges()]
+            if case % 4 == 0:  # strengths around the series threshold, signed zero angles
+                for index in (0, 1, 3):
+                    if rng.random() < 0.5:
+                        values[index] = near_zero_k1[rng.integers(len(near_zero_k1))]
+                for index in (2, 4):
+                    if rng.random() < 0.5:
+                        values[index] = (0.0, -0.0)[rng.integers(2)]
+            mean = np.zeros(4) if case % 5 == 0 else rng.uniform(-1e-3, 1e-3, 4)
+            if case % 2:
+                coupling = rng.normal(size=(4, 4)) * 1e-4
+                cov = coupling @ coupling.T
+            else:
+                cov = np.diag(rng.uniform(1e-5, 5e-4, 4) ** 2)
+            settings, incoming = MagnetSettings(*values), TransverseState(mean, cov)
+            out = track(lattice, settings, incoming)
+            ref = _reference_track(lattice, settings, incoming)
+            assert out.mean.tobytes() == ref.mean.tobytes()
+            assert out.covariance.tobytes() == ref.covariance.tobytes()
+
     def test_all_zero_stays_centred(self):
         lattice = Lattice()
         out = track(lattice, centred_settings(), pencil_state())

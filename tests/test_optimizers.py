@@ -178,14 +178,15 @@ class TestGaussianProcess:
 
 def _reference_nll_and_grad(log_theta, X, y):
     """The likelihood computed from ``X`` alone on every call, with the
-    kernel and its lengthscale-gradient factor each taking their own
-    exponential: the reference for the fit's per-fit invariants."""
+    kernel and its lengthscale-gradient factor each stated inline with their
+    own exponential: the reference for the fit's per-fit invariants and for
+    the factors ``_matern52`` shares."""
     n, dim = X.shape
     lengthscales = np.exp(log_theta[:dim])
     signal_var = math.exp(2.0 * log_theta[dim])
     noise_var = math.exp(2.0 * log_theta[dim + 1])
     r = np.sqrt(gp_module._scaled_sq_dists(X, X, lengthscales))
-    Kf = gp_module._matern52(r, signal_var)
+    Kf = signal_var * (1.0 + math.sqrt(5.0) * r + 5.0 / 3.0 * r**2) * np.exp(-math.sqrt(5.0) * r)
     K = Kf + noise_var * np.eye(n)
     L = gp_module.cholesky(K + 1e-12 * np.eye(n), lower=True)
     alpha = gp_module.cho_solve((L, True), y)
@@ -304,6 +305,38 @@ class TestExpectedImprovementGradient:
         assert np.all(ei == 0.0)
         assert np.all(grad == 0.0)
 
+    @staticmethod
+    def _reference(gp: GaussianProcess, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """EI and its gradient with the kernel and its radial factor each
+        computed inline from the scaled distances ``r``."""
+        signal_var = gp.signal_std**2
+        r = np.sqrt(gp_module._scaled_sq_dists(U, gp.X, gp.lengthscales))
+        sqrt5 = math.sqrt(5.0)
+        Ks = signal_var * (1.0 + sqrt5 * r + 5.0 / 3.0 * r**2) * np.exp(-sqrt5 * r)
+        mean = Ks @ gp._alpha
+        V = gp_module.solve_triangular(gp._L, Ks.T, lower=True)
+        var = signal_var - np.sum(V**2, axis=0)
+        var = np.where(var < gp_module._VARIANCE_FLOOR_FRACTION * signal_var, 0.0, var)
+        std = np.sqrt(np.maximum(var, 0.0))
+        ei, d_mean, d_std = gp_module._ei(gp.incumbent - mean, std)
+        radial = -(5.0 / 3.0) * gp.signal_std**2 * (1.0 + sqrt5 * r) * np.exp(-sqrt5 * r)
+        J = radial[:, :, None] * ((U[:, None, :] - gp.X[None, :, :]) / gp.lengthscales**2)
+        grad_mean = np.einsum("ijd,j->id", J, gp._alpha)
+        Kinv_k = gp_module.solve_triangular(gp._L, V, lower=True, trans="T")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(std > 0, -1.0 / std, 0.0)
+        grad_std = np.einsum("ijd,ji->id", J, Kinv_k) * scale[:, None]
+        return ei, d_mean[:, None] * grad_mean + d_std[:, None] * grad_std
+
+    def test_same_bits_as_the_reference(self, gp):
+        rng = np.random.default_rng(8)
+        # random rows, rows on the data (r = 0) and the refinement's stacked shape
+        for U in (rng.uniform(-1, 1, size=(64, 5)), gp.X, rng.uniform(-1, 1, size=(8, 5))):
+            ei, grad = expected_improvement_and_gradient(gp, U)
+            ref_ei, ref_grad = self._reference(gp, U)
+            assert ei.tobytes() == ref_ei.tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+
     def test_variance_floor_branch(self, gp):
         noiseless = GaussianProcess.from_hyperparameters(
             gp.X, self._targets(gp.X), lengthscales=gp.lengthscales, signal_std=gp.signal_std,
@@ -341,6 +374,14 @@ class TestBayesianOptimizer:
             history = drive(optimizer, sphere, np.full(5, 0.4), 8)
             seqs.append([s.settings for s in history])
         assert seqs[0] == seqs[1]
+
+    @pytest.mark.parametrize("options, message", [
+        ({"n_candidates": 0}, "n_candidates must be at least 1, got 0"),
+        ({"n_refine": -1}, "n_refine must be non-negative, got -1"),
+    ])
+    def test_rejects_counts_out_of_range(self, options, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BayesianOptimizer(seed=0, **options)
 
     def test_refined_proposal_beats_best_candidate(self):
         history = drive(BayesianOptimizer(seed=3), sphere, np.full(5, 0.4), 6)
