@@ -3,14 +3,15 @@
 One YAML file covers lattice geometry, the trial generator ranges,
 optimizer hyperparameters, LLM backend endpoints and the noise mode. A
 user file only needs the keys it overrides; everything else comes from the
-packaged defaults, and a key the defaults do not have is an error, except
-a new backend name under ``llm.backends``, whose keys must be ones the
-packaged backends have; every backend needs a ``base_url``. The lattice
-and trial generator sections must be ones their constructors accept. The
-noise sigma, the llm loop's scalars, the es and bo options and the harness
-counts must each be of the kind ``_VALUE_RULES`` names for it, with at
-least one worker. Credentials never live in config files; the API key is
-read from the ``LLM_API_KEY`` environment variable by the llm module.
+packaged defaults, and a key the defaults do not have is an error. So
+``llm.backends`` holds exactly one section per wire dialect in
+``llm.DIALECTS``. The lattice and trial generator sections must be ones
+their constructors accept. The noise sigma, the llm loop's scalars, each
+backend's ``base_url`` and rate limit, the es and bo options and the
+harness counts must each be of the kind ``_VALUE_RULES`` names for it,
+with at least one worker. Credentials never live in config files; the API
+key is read from the ``LLM_API_KEY`` environment variable by the llm
+module.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import yaml
 
+from .llm import DIALECTS
 from .optics import LatticeGeometry
 from .task import TrialGeneratorConfig
 
@@ -39,22 +41,13 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
-# A new LLM backend may be added by name, with any of the keys the packaged
-# backends have.
-_NEW_NAMES_ALLOWED = ("llm", "backends")
-
-
 def _unknown_keys(default: dict, override: dict, path: tuple = ()) -> list[str]:
     """Dotted paths of the ``override`` keys that ``default`` does not have."""
     unknown = []
     for key, value in override.items():
         here = (*path, key)
         if key not in default:
-            if path != _NEW_NAMES_ALLOWED:
-                unknown.append(".".join(map(str, here)))
-            elif isinstance(value, dict):
-                backend_keys = {name: None for backend in default.values() for name in backend}
-                unknown.extend(_unknown_keys(backend_keys, value, here))
+            unknown.append(".".join(map(str, here)))
         elif isinstance(value, dict) and isinstance(default[key], dict):
             unknown.extend(_unknown_keys(default[key], value, here))
     return unknown
@@ -89,13 +82,8 @@ class Config:
     def llm_options(self) -> dict:
         return dict(self.data["llm"])
 
-    def backend_options(self, name: str) -> dict:
-        backends = self.data["llm"]["backends"]
-        if name not in backends:
-            raise KeyError(
-                f"backend {name!r} not configured; available: {sorted(backends)}"
-            )
-        return dict(backends[name])
+    def backend_options(self, dialect: str) -> dict:
+        return dict(self.data["llm"]["backends"][dialect])
 
     def harness_options(self) -> dict:
         return dict(self.data["harness"])
@@ -122,13 +110,6 @@ def load_config(path: str | Path | None = None) -> Config:
         if unknown:
             raise ValueError("unknown config key: " + ", ".join(unknown))
         data = _deep_merge(data, override)
-        missing = [
-            f"llm.backends.{name}.base_url"
-            for name, options in data["llm"]["backends"].items()
-            if not isinstance(options, dict) or options.get("base_url") is None
-        ]
-        if missing:
-            raise ValueError("missing config key: " + ", ".join(missing))
     return _checked(Config(data))
 
 
@@ -158,6 +139,12 @@ _VALUE_RULES = (
     ("harness.budget", "an integer", _is_integer),
     ("harness.seeds", "an integer", _is_integer),
     ("harness.workers", "an integer", _is_integer),
+    *(rule for dialect in DIALECTS for rule in (
+        (f"llm.backends.{dialect}.base_url", "a non-empty string",
+         lambda v: isinstance(v, str) and v != ""),
+        (f"llm.backends.{dialect}.requests_per_minute", "null or a finite value > 0",
+         lambda v: v is None or (_is_number(v) and v > 0)),
+    )),
 )
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import yaml
 
 from ..config import Config, load_config
-from ..llm import HttpBackend, ScriptedBackend, default_system_prompt
+from ..llm import DIALECTS, HttpBackend, ScriptedBackend, default_system_prompt
 from ..optimizers import (
     BayesianOptimizer,
     DoNothing,
@@ -44,9 +44,8 @@ OPTIMIZERS = {
     "random": (RandomSearch, ("seed",)),
     "es": (ExtremumSeeking, ("seed",)),
     "bo": (BayesianOptimizer, ("seed", "budget")),
-    "rlo": (ReinforcementPolicyOptimizer.from_spec, ("spec",)),
+    "rlo": (ReinforcementPolicyOptimizer, ("policy",)),
 }
-PROMPT_ALIASES = {**{kind: kind for kind in PROMPT_KINDS}, "cot": "chain_of_thought"}
 
 
 def _one_line(exc: BaseException) -> str:
@@ -92,18 +91,13 @@ def _build_backend_factory(args, config: Config):
         if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
             raise SystemExit("--script file must hold a JSON list of strings")
         return lambda: ScriptedBackend(list(responses), on_exhaust=args.script_on_exhaust)
-    try:
-        options = config.backend_options(args.backend)
-    except KeyError as exc:
-        raise SystemExit(exc.args[0]) from exc
-    shared = HttpBackend(**options)
+    shared = HttpBackend(dialect=args.backend, **config.backend_options(args.backend))
     return lambda: shared
 
 
 def _llm_factory(args, config: Config):
     if not args.model:
         raise SystemExit("--model is required for the llm optimizer")
-    prompt_kind = PROMPT_ALIASES[args.prompt]
     backend_factory = _build_backend_factory(args, config)
     llm_options = config.llm_options()
 
@@ -111,7 +105,7 @@ def _llm_factory(args, config: Config):
         return LLMOptimizer(
             backend=backend_factory(),
             model=args.model,
-            prompt_kind=prompt_kind,
+            prompt_kind=args.prompt,
             target=trial.target,
             temperature=llm_options["temperature"],
             timeout=float(llm_options["timeout_s"]),
@@ -123,17 +117,26 @@ def _llm_factory(args, config: Config):
     return factory, f"llm-{args.model}-{args.prompt}"
 
 
+def _load_policy(spec: str | None):
+    """The callable ``--policy`` names, imported once before any run."""
+    if not spec:
+        raise SystemExit("--policy module:attribute is required for the rlo optimizer")
+    try:
+        return ReinforcementPolicyOptimizer.from_spec(spec).policy
+    except (ImportError, AttributeError, TypeError, ValueError) as exc:
+        raise SystemExit(f"--policy: {_one_line(exc)}") from exc
+
+
 def _optimizer_factory(args, config: Config, budget: int):
     name = args.optimizer
     if name == "llm":
         return _llm_factory(args, config)
-    if name == "rlo" and not args.policy:
-        raise SystemExit("--policy module:attribute is required for the rlo optimizer")
+    policy = _load_policy(args.policy) if name == "rlo" else None
     constructor, supplied = OPTIMIZERS[name]
     options = config.optimizer_options(name)
 
     def factory(trial: Trial, seed: int):
-        given = {"seed": seed, "budget": budget, "spec": args.policy}
+        given = {"seed": seed, "budget": budget, "policy": policy}
         return constructor(**{key: given[key] for key in supplied}, **options)
 
     return factory, name
@@ -148,8 +151,13 @@ def _cmd_run(args) -> int:
         if value < 1:
             raise SystemExit(f"{name} must be at least 1, got {value}")
     factory, optimizer_id = _optimizer_factory(args, config, budget)
+    trials = _load_trials(args, config)
+    try:  # a run's results are lost if they cannot be written at its end
+        (Path(args.out) / "runs").mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(f"--out: {_one_line(exc)}") from exc
     summary = evaluate(
-        _load_trials(args, config),
+        trials,
         factory,
         optimizer_id=optimizer_id,
         n_seeds=n_seeds,
@@ -170,7 +178,9 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     try:
         path = regenerate_csv(args.in_dir)
-    except (OSError, ValueError) as exc:
+    except KeyError as exc:
+        raise SystemExit(f"--in: missing field {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
         raise SystemExit(f"--in: {_one_line(exc)}") from exc
     print(f"wrote {path}")
     return 0
@@ -179,6 +189,8 @@ def _cmd_report(args) -> int:
 def _cmd_trials_generate(args) -> int:
     if args.count < 1:
         raise SystemExit(f"count must be at least 1, got {args.count}")
+    if args.seed < 0:
+        raise SystemExit(f"seed must be at least 0, got {args.seed}")
     config = _load_config(args)
     trials = [
         make_trial(seed, config.trial_generator())
@@ -206,9 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="evaluate one optimizer on the trial suite")
     run.add_argument("--config", default=None, help="YAML config overriding the defaults")
     run.add_argument("--optimizer", required=True, choices=(*OPTIMIZERS, "llm"))
-    run.add_argument("--prompt", default="optimisation", choices=sorted(PROMPT_ALIASES))
+    run.add_argument("--prompt", default="optimisation", choices=PROMPT_KINDS)
     run.add_argument("--model", default=None, help="model name for the llm optimizer")
-    run.add_argument("--backend", default="openai", help="backend name from the config")
+    run.add_argument("--backend", default="openai", choices=DIALECTS,
+                     help="wire dialect; its server is llm.backends.<dialect> in the config")
     run.add_argument("--script", default=None,
                      help="JSON list of scripted responses replacing the HTTP backend")
     run.add_argument("--script-on-exhaust", default="repeat_last",

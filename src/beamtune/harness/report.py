@@ -181,6 +181,8 @@ def load_summary(out_dir: str | Path) -> dict:
     path = Path(out_dir) / "summary.json"
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError(f"a summary is a mapping, got {type(data).__name__}")
     if data.get("schema") != SUMMARY_SCHEMA:
         raise ValueError(f"unsupported summary schema {data.get('schema')!r}")
     return data

@@ -31,6 +31,7 @@ __all__ = [
     "BackendTimeout",
     "ChatRequest",
     "ChatResponse",
+    "DIALECTS",
     "HttpBackend",
     "MalformedReplyError",
     "RateLimiter",
@@ -46,6 +47,7 @@ API_KEY_ENV = "LLM_API_KEY"
 
 DEFAULT_TIMEOUT_S = 120.0
 DEFAULT_TEMPERATURE = {"openai": 0.7, "ollama": 0.8}
+DIALECTS = tuple(DEFAULT_TEMPERATURE)
 _MAX_TRANSPORT_RETRIES = 2
 _BACKOFF_BASE_S = 0.5
 _RETRYABLE_STATUS = (408, 429, 500, 502, 503, 504)
@@ -97,7 +99,7 @@ def default_system_prompt(model: str) -> str | None:
 
 
 def default_temperature(dialect: str) -> float:
-    return DEFAULT_TEMPERATURE.get(dialect, DEFAULT_TEMPERATURE["ollama"])
+    return DEFAULT_TEMPERATURE[dialect]
 
 
 @dataclass(frozen=True)
@@ -127,13 +129,19 @@ class ChatResponse:
 class RateLimiter:
     """Token bucket limiting requests per minute for one backend.
 
+    ``requests_per_minute`` is None (no limit) or a finite value > 0.
     ``clock``/``sleeper`` are injectable for tests; with the defaults the
     limiter simply sleeps until a token is available.
     """
 
     def __init__(self, requests_per_minute: float | None, clock=time.monotonic, sleeper=time.sleep):
-        self.rate = None if not requests_per_minute else requests_per_minute / 60.0
-        self.capacity = requests_per_minute or 0.0
+        rpm = requests_per_minute
+        if rpm is not None and (
+            isinstance(rpm, bool) or not isinstance(rpm, (int, float)) or not 0 < rpm < math.inf
+        ):
+            raise ValueError(f"requests_per_minute must be None or a finite value > 0, got {rpm!r}")
+        self.rate = None if rpm is None else rpm / 60.0
+        self.capacity = rpm or 0.0
         self._tokens = self.capacity
         self._clock = clock
         self._sleeper = sleeper
@@ -172,9 +180,9 @@ class HttpBackend:
     ----------
     base_url:   server root, e.g. "https://api.openai.com" or
                 "http://localhost:11434".
-    dialect:    "openai" or "ollama".
-    requests_per_minute: optional client-side rate limit, shared by every
-                thread that uses this backend.
+    dialect:    one of ``DIALECTS``: "openai" or "ollama".
+    requests_per_minute: None, or a client-side rate limit > 0 shared by
+                every thread that uses this backend.
     session:    one session for every thread; by default each thread
                 opens its own, since a ``requests.Session`` is not
                 documented as thread-safe.
@@ -188,7 +196,7 @@ class HttpBackend:
         session: requests.Session | None = None,
         sleeper=time.sleep,
     ) -> None:
-        if dialect not in ("openai", "ollama"):
+        if dialect not in DIALECTS:
             raise ValueError(f"unknown dialect {dialect!r}")
         self.base_url = base_url.rstrip("/")
         self.dialect = dialect

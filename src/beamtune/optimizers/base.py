@@ -71,14 +71,14 @@ class ReinforcementPolicyOptimizer:
     package.
 
     The policy is any callable mapping the sample history to the next
-    :class:`MagnetSettings`. ``from_spec`` loads one from a
-    ``"module:attribute"`` string naming the policy itself.
+    :class:`MagnetSettings`, kept as ``policy``. ``from_spec`` loads one
+    from a ``"module:attribute"`` string naming the policy itself.
     """
 
     def __init__(self, policy) -> None:
         if not callable(policy):
             raise TypeError("policy must be callable(history) -> MagnetSettings")
-        self._policy = policy
+        self.policy = policy
 
     @classmethod
     def from_spec(cls, spec: str) -> "ReinforcementPolicyOptimizer":
@@ -88,7 +88,7 @@ class ReinforcementPolicyOptimizer:
         return cls(getattr(import_module(module_name), attribute))
 
     def propose(self, history: Sequence[Sample]) -> MagnetSettings:
-        settings = self._policy(history)
+        settings = self.policy(history)
         if not isinstance(settings, MagnetSettings):
             raise TypeError("policy must return MagnetSettings")
         return settings

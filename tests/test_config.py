@@ -55,11 +55,20 @@ def test_trial_generator_ranges_parsed(tmp_path):
 
 def test_backend_options_lookup():
     config = load_config()
-    openai = config.backend_options("openai")
-    assert openai["dialect"] == "openai"
-    assert openai["base_url"].startswith("https://")
-    with pytest.raises(KeyError):
-        config.backend_options("missing")
+    assert config.backend_options("openai") == {
+        "base_url": "https://api.openai.com", "requests_per_minute": 60,
+    }
+    assert config.backend_options("ollama")["requests_per_minute"] is None
+
+
+def test_one_backend_section_per_dialect():
+    # --backend names a wire dialect, and each dialect has one config section
+    from beamtune.harness.cli import build_parser
+    from beamtune.llm import DIALECTS
+
+    run = build_parser()._subparsers._group_actions[0].choices["run"]
+    (backend,) = [action for action in run._actions if action.dest == "backend"]
+    assert set(load_config().data["llm"]["backends"]) == set(DIALECTS) == set(backend.choices)
 
 
 def test_unknown_override_keys_rejected_by_dotted_path(tmp_path):
@@ -85,25 +94,20 @@ def test_unknown_optimizer_section_rejected(tmp_path):
         load_config(path)
 
 
-def test_new_backend_name_allowed(tmp_path):
+def test_non_dialect_backend_name_rejected(tmp_path):
     path = tmp_path / "backend.yaml"
-    path.write_text(
-        "llm:\n  backends:\n    local:\n      dialect: ollama\n"
-        "      base_url: http://127.0.0.1:8080\n"
-    )
-    config = load_config(path)
-    assert config.backend_options("local")["dialect"] == "ollama"
-
-
-def test_new_backend_keys_checked_at_load(tmp_path):
-    # a new backend may only use keys the packaged backends have
-    backend = 'llm:\n  backends:\n    mine:\n      dialect: openai\n      base_url: "http://x"\n'
-    path = tmp_path / "backend.yaml"
-    path.write_text(backend + "      rpm: 3\n")
-    with pytest.raises(ValueError, match=r"^unknown config key: llm\.backends\.mine\.rpm$"):
+    path.write_text('llm:\n  backends:\n    mine:\n      base_url: "http://x"\n')
+    with pytest.raises(ValueError, match=r"^unknown config key: llm\.backends\.mine$"):
         load_config(path)
-    path.write_text(backend)
-    assert load_config(path).backend_options("mine") == {"dialect": "openai", "base_url": "http://x"}
+
+
+def test_backend_base_url_override(tmp_path):
+    # another OpenAI-compatible server is reached by overriding the openai section
+    path = tmp_path / "backend.yaml"
+    path.write_text("llm:\n  backends:\n    openai:\n      base_url: http://127.0.0.1:8080\n")
+    assert load_config(path).backend_options("openai") == {
+        "base_url": "http://127.0.0.1:8080", "requests_per_minute": 60,
+    }
 
 
 def test_unknown_keys_below_packaged_sections_rejected(tmp_path):

@@ -544,6 +544,7 @@ class TestFixtures:
 
 _RUN = ["run", "--optimizer", "do-nothing", "--out", "{tmp}/r"]
 _GENERATE = ["trials", "generate", "--seed", "1"]
+_LLM_RUN = ["run", "--optimizer", "llm", "--model", "m", "--out", "{tmp}/r"]
 
 
 class TestCLI:
@@ -610,22 +611,26 @@ class TestCLI:
                 "--out", str(tmp_path / "r"),
             ])
 
-    def test_unconfigured_backend_exits_with_its_name(self, tmp_path):
-        with pytest.raises(SystemExit, match=r"^backend 'nosuch' not configured"):
+    def test_unconfigured_backend_exits_with_its_name(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             cli_main([
                 "run", "--optimizer", "llm", "--model", "m", "--backend", "nosuch",
                 "--out", str(tmp_path / "r"),
             ])
+        assert exit_info.value.code == 2
+        assert "argument --backend: invalid choice: 'nosuch'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_backend_without_base_url_exits_at_load(self, tmp_path):
         config = tmp_path / "config.yaml"
-        config.write_text("llm:\n  backends:\n    mine:\n      dialect: openai\n")
-        expected = r"^missing config key: llm\.backends\.mine\.base_url$"
+        config.write_text("llm:\n  backends:\n    openai:\n      base_url: null\n")
+        expected = r"^llm\.backends\.openai\.base_url must be a non-empty string, got None$"
         with pytest.raises(SystemExit, match=expected):
             cli_main([
-                "run", "--optimizer", "llm", "--model", "m", "--backend", "mine",
+                "run", "--optimizer", "llm", "--model", "m",
                 "--config", str(config), "--out", str(tmp_path / "r"),
             ])
+        assert not (tmp_path / "r").exists()
 
     def test_trials_fixture_with_unknown_schema_exits(self, tmp_path):
         fixture = tmp_path / "trials.yaml"
@@ -719,6 +724,39 @@ class TestCLI:
          r"^--in: \[Errno 2\] No such file or directory: '.*summary\.json'$"),
         (["report", "--in", "{tmp}"], {"summary.json": '{"schema": "other/v1"}'},
          r"^--in: unsupported summary schema 'other/v1'$"),
+        (["report", "--in", "{tmp}"],
+         {"summary.json": '{"schema": "beamtune/summary/v1", "optimizers": [{}]}'},
+         r"^--in: missing field 'aggregates'$"),
+        (["report", "--in", "{tmp}"], {"summary.json": "[]"},
+         r"^--in: a summary is a mapping, got list$"),
+        ([*_GENERATE[:-1], "-1", "--out", "{tmp}/r"], {}, r"^seed must be at least 0, got -1$"),
+        ([*_LLM_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "llm: null\n"},
+         r"^llm must be a mapping, got None$"),
+        ([*_LLM_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "llm: {backends: null}\n"},
+         r"^llm\.backends must be a mapping, got None$"),
+        ([*_LLM_RUN, "--config", "{tmp}/c.yaml"],
+         {"c.yaml": "llm: {backends: {openai: null}}\n"},
+         r"^llm\.backends\.openai must be a mapping, got None$"),
+        ([*_LLM_RUN, "--config", "{tmp}/c.yaml"],
+         {"c.yaml": "llm: {backends: {openai: {base_url: null}}}\n"},
+         r"^llm\.backends\.openai\.base_url must be a non-empty string, got None$"),
+        ([*_LLM_RUN, "--config", "{tmp}/c.yaml"],
+         {"c.yaml": "llm: {backends: {openai: {base_url: 3}}}\n"},
+         r"^llm\.backends\.openai\.base_url must be a non-empty string, got 3$"),
+        ([*_LLM_RUN, "--config", "{tmp}/c.yaml"],
+         {"c.yaml": "llm: {backends: {openai: {requests_per_minute: -5}}}\n"},
+         r"^llm\.backends\.openai\.requests_per_minute must be null or a finite value > 0, "
+         r"got -5$"),
+        ([*_LLM_RUN, "--config", "{tmp}/c.yaml"],
+         {"c.yaml": "llm: {backends: {openai: {requests_per_minute: abc}}}\n"},
+         r"^llm\.backends\.openai\.requests_per_minute must be null or a finite value > 0, "
+         r"got 'abc'$"),
+        ([*_LLM_RUN, "--config", "{tmp}/c.yaml"],
+         {"c.yaml": "llm: {backends: {openai: {dialect: ollama}}}\n"},
+         r"^unknown config key: llm\.backends\.openai\.dialect$"),
+        ([*_LLM_RUN, "--config", "{tmp}/c.yaml"],
+         {"c.yaml": 'llm: {backends: {mine: {base_url: "http://x"}}}\n'},
+         r"^unknown config key: llm\.backends\.mine$"),
     ], ids=[
         "config-missing", "config-not-yaml", "run-lattice", "generate-lattice",
         "run-trial-generator", "generate-trial-generator", "workers-word", "workers-float",
@@ -727,7 +765,10 @@ class TestCLI:
         "es-amplitude-negative", "es-null", "bo-n-candidates-0", "bo-n-refine-negative",
         "generate-count-0", "generate-count-negative",
         "fixture-not-yaml", "fixture-list", "fixture-missing-field", "fixture-no-trials",
-        "report-no-summary", "report-foreign-schema",
+        "report-no-summary", "report-foreign-schema", "report-missing-field", "report-list",
+        "generate-seed-negative", "llm-null", "backends-null", "openai-null",
+        "openai-base-url-null", "openai-base-url-int", "openai-rpm-negative", "openai-rpm-word",
+        "openai-dialect", "backend-not-a-dialect",
     ])
     def test_malformed_input_exits_with_one_line(self, tmp_path, argv, files, message):
         for name, text in files.items():
@@ -773,6 +814,48 @@ class TestCLI:
         data = load_summary(out)
         assert data["optimizers"][0]["optimizer_id"] == "rlo"
 
+    @pytest.mark.parametrize("spec, message", [
+        ("nosuchmod:x", r"^--policy: No module named 'nosuchmod'$"),
+        ("os", r"^--policy: policy spec must look like 'module:attribute', got 'os'$"),
+        ("os:nosuch", r"^--policy: module 'os' has no attribute 'nosuch'$"),
+        ("math:pi", r"^--policy: policy must be callable"),
+    ], ids=["no-module", "no-colon", "no-attribute", "not-callable"])
+    def test_bad_policy_exits_before_any_run(self, tmp_path, monkeypatch, spec, message):
+        import beamtune.harness.cli as cli
+
+        started = []
+        monkeypatch.setattr(cli, "evaluate", lambda *args, **kwargs: started.append(args))
+        with pytest.raises(SystemExit, match=message) as exit_info:
+            cli_main(["run", "--optimizer", "rlo", "--policy", spec, "--out", str(tmp_path / "r")])
+        assert "\n" not in exit_info.value.code
+        assert started == []
+        assert not (tmp_path / "r").exists()
+
+    def test_unwritable_out_exits_before_any_run(self, tmp_path, monkeypatch):
+        # the runs would be lost when write_outputs fails to create runs/
+        import beamtune.harness.cli as cli
+
+        built = []
+        make_factory = cli._optimizer_factory
+
+        def counting_factory(*args):
+            factory, optimizer_id = make_factory(*args)
+            return (lambda trial, seed: built.append(seed) or factory(trial, seed)), optimizer_id
+
+        monkeypatch.setattr(cli, "_optimizer_factory", counting_factory)
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([VALID_RESPONSE]))
+        not_a_directory = tmp_path / "file"
+        not_a_directory.write_text("")
+        with pytest.raises(SystemExit, match=r"^--out: .*file") as exit_info:
+            cli_main([
+                "run", "--optimizer", "llm", "--model", "scripted", "--script", str(script),
+                "--out", str(not_a_directory / "x"),
+            ])
+        assert isinstance(exit_info.value.code, str)  # exits with status 1
+        assert "\n" not in exit_info.value.code
+        assert built == []
+
     def test_rlo_without_policy_exits_with_error(self, tmp_path):
         with pytest.raises(SystemExit):
             cli_main([
@@ -784,7 +867,7 @@ class TestCLI:
         script.write_text(json.dumps([VALID_RESPONSE] * 200))
         out = tmp_path / "results"
         assert cli_main([
-            "run", "--optimizer", "llm", "--model", "scripted", "--prompt", "cot",
+            "run", "--optimizer", "llm", "--model", "scripted", "--prompt", "chain_of_thought",
             "--script", str(script), "--budget", "4", "--seeds", "1",
             "--out", str(out),
         ]) == 0

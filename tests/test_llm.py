@@ -278,6 +278,15 @@ class TestDefaults:
 
 
 class TestRateLimiter:
+    @pytest.mark.parametrize("rate", [-5, 0, "abc", float("nan"), float("inf"), True],
+                             ids=["negative", "zero", "word", "nan", "inf", "bool"])
+    def test_rate_it_cannot_keep_rejected_at_construction(self, rate):
+        expected = r"^requests_per_minute must be None or a finite value > 0, got "
+        with pytest.raises(ValueError, match=expected):
+            RateLimiter(rate)
+        with pytest.raises(ValueError, match=expected):
+            HttpBackend("http://127.0.0.1:1", requests_per_minute=rate)
+
     def test_no_limit_never_sleeps(self):
         calls = []
         limiter = RateLimiter(None, sleeper=calls.append)
