@@ -23,6 +23,7 @@ from pathlib import Path
 import yaml
 
 from ..config import Config, load_config
+from ..fixtures import canonical_trials
 from ..llm import DIALECTS, HttpBackend, ScriptedBackend, default_system_prompt
 from ..optimizers import (
     BayesianOptimizer,
@@ -71,8 +72,6 @@ def _load_trials(args, config: Config) -> list[Trial]:
             raise SystemExit(f"--trials-fixture: missing field {exc}") from exc
         except (OSError, TypeError, ValueError, yaml.YAMLError) as exc:
             raise SystemExit(f"--trials-fixture: {_one_line(exc)}") from exc
-    from ..fixtures import canonical_trials
-
     return canonical_trials(config.trial_generator())
 
 

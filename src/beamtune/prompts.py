@@ -24,6 +24,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields
+from functools import cache
 from importlib import resources
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -80,6 +81,7 @@ def _parameters_block(parameters: BeamParameters) -> str:
     return _json_block(_PARAMETER_NAMES, parameters.as_tuple(), repeat(1.0))
 
 
+@cache
 def template_text(kind: str) -> str:
     if kind not in PROMPT_KINDS:
         raise ValueError(f"unknown prompt kind {kind!r}; expected one of {PROMPT_KINDS}")

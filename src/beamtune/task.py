@@ -103,6 +103,13 @@ class Trial:
     initial_settings: MagnetSettings
 
     def __post_init__(self) -> None:
+        for name, values in (
+            ("target", self.target.as_tuple()),
+            ("quad misalignments", [v for offset in self.quad_misalignments for v in offset]),
+            ("screen misalignment", self.screen_misalignment),
+        ):
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{self.trial_id}: non-finite {name} {tuple(values)}")
         # an all-zero target ("as small as possible") is a valid task
         if self.target.sigma_x < 0 or self.target.sigma_y < 0:
             raise ValueError("target beam sizes must be non-negative")
@@ -281,20 +288,24 @@ class TuningEnvironment:
 
 
 # ---------------------------------------------------------------------------
-# Trial fixture serialisation (SI units, versioned)
+# Trial fixture serialisation (versioned, exact)
 # ---------------------------------------------------------------------------
 
-TRIAL_SCHEMA = "beamtune/trials/v1"
+TRIAL_SCHEMA = "beamtune/trials/v2"
 
 
 def trial_to_dict(trial: Trial) -> dict:
-    """Trial as plain data, SI units (m, rad); targets stored in metres."""
+    """Trial as plain data, each value in the unit the trial holds it.
+
+    The target is in mm, as :class:`BeamParameters` holds it; the incoming
+    beam and the misalignments are in SI units (m, rad). No value is
+    rescaled, so :func:`trial_from_dict` restores every bit.
+    """
     return {
         "trial_id": trial.trial_id,
         "seed": trial.seed,
-        "target_m": {
-            field.name: getattr(trial.target, field.name) * 1e-3
-            for field in fields(BeamParameters)
+        "target_mm": {
+            field.name: getattr(trial.target, field.name) for field in fields(BeamParameters)
         },
         "incoming": {
             "mean": [float(v) for v in trial.incoming.mean],
@@ -309,13 +320,13 @@ def trial_to_dict(trial: Trial) -> dict:
 
 
 def trial_from_dict(data: dict) -> Trial:
-    target = data["target_m"]
+    target = data["target_mm"]
     init = data["initial_settings"]
     return Trial(
         trial_id=str(data["trial_id"]),
         seed=int(data["seed"]),
         target=BeamParameters(
-            **{field.name: target[field.name] * 1e3 for field in fields(BeamParameters)}
+            **{field.name: float(target[field.name]) for field in fields(BeamParameters)}
         ),
         incoming=TransverseState(
             np.asarray(data["incoming"]["mean"], dtype=float),

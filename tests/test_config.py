@@ -166,5 +166,5 @@ def test_packaged_values_equal_library_defaults():
     assert config.noise_sigma() == defaults["noise_sigma"]
 
     assert config.geometry() == LatticeGeometry()
-    # canonical_trials loads the shipped fixture only for the default ranges
+    # canonical_trials generates the suite from these ranges
     assert config.trial_generator() == TrialGeneratorConfig()

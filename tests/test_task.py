@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,8 @@ from beamtune.task import (
     objective,
     trial_from_dict,
     trial_to_dict,
+    trials_from_document,
+    trials_to_document,
 )
 
 finite_mm = st.floats(min_value=-5000, max_value=5000, allow_nan=False)
@@ -122,12 +125,14 @@ class TestMakeTrial:
 
     def test_fixture_round_trip(self):
         trial = make_trial(11)
-        restored = trial_from_dict(trial_to_dict(trial))
-        assert restored.trial_id == trial.trial_id
-        assert restored.initial_settings == trial.initial_settings
-        assert np.allclose(restored.incoming.mean, trial.incoming.mean)
-        assert np.allclose(restored.incoming.covariance, trial.incoming.covariance)
-        assert restored.target.mu_x == pytest.approx(trial.target.mu_x, rel=1e-15)
+        assert trial_from_dict(trial_to_dict(trial)) == trial
+
+    @settings(deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32))
+    def test_fixture_document_round_trip_is_exact(self, seed):
+        trials = [make_trial(seed)]
+        text = yaml.safe_dump(trials_to_document(trials))
+        assert trials_from_document(yaml.safe_load(text)) == trials
 
 
 class TestEnvironment:
