@@ -40,6 +40,10 @@ plane, with offset dx in x and dy in y.
 
 Units are SI throughout this module (m, rad); only the screen readout
 converts to millimetres.
+
+Each input is checked once, where it enters: the beam and misalignments by
+``Trial``, the geometry by ``LatticeGeometry``, each proposal by
+``TuningEnvironment.step``. ``track`` trusts them; ``read_screen`` guards the output.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ _K1_SERIES_THRESHOLD = 1e-10
 
 
 class OpticsError(ValueError):
-    """Inconsistent optics input (non-finite values, invalid covariance)."""
+    """Invalid optics input: a bad lattice geometry, or an invalid beam at the screen."""
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +80,8 @@ class OpticsError(ValueError):
 @dataclass(frozen=True, eq=False)
 class TransverseState:
     """Gaussian beam as first and second moments in (x, x', y, y').
+
+    A plain record: a trial's incoming beam is checked by its ``Trial``.
 
     Parameters
     ----------
@@ -92,18 +98,6 @@ class TransverseState:
             and np.array_equal(self.mean, other.mean)
             and np.array_equal(self.covariance, other.covariance)
         )
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float).reshape(4)
-        cov = np.asarray(self.covariance, dtype=float).reshape(4, 4)
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
-            raise OpticsError("beam state contains non-finite values")
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise OpticsError("covariance matrix is not symmetric")
-        if np.any(np.diag(cov) < -1e-15):
-            raise OpticsError("covariance has a negative diagonal entry")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
 
     @classmethod
     def from_moments(
@@ -146,8 +140,6 @@ def quad_blocks(k1: float, length: float) -> tuple[np.ndarray, np.ndarray]:
     Focusing:   [[cos p,        sin p / sqrt(k)], [-sqrt(k) sin p, cos p]]
     Defocusing: [[cosh p,      sinh p / sqrt(k)], [ sqrt(k) sinh p, cosh p]]
     """
-    if not (math.isfinite(k1) and math.isfinite(length)) or length <= 0:
-        raise OpticsError(f"invalid quadrupole parameters k1={k1!r}, length={length!r}")
     if abs(k1) < _K1_SERIES_THRESHOLD:
         return _drift_block(length), _drift_block(length)
     kr = math.sqrt(abs(k1))
@@ -176,8 +168,6 @@ def _quad(k1: float, length: float, misalignment: tuple[float, float]):
 
 def _kick(angle: float):
     """Thin corrector element adding ``angle`` [rad] to the slope."""
-    if not math.isfinite(angle):
-        raise OpticsError(f"non-finite corrector angle {angle!r}")
     return (np.eye(2), 0.0, angle)
 
 
@@ -278,20 +268,13 @@ class Lattice:
         (0.0, 0.0),
     )
 
-    def __post_init__(self) -> None:
-        if len(self.quad_misalignments) != 3:
-            raise OpticsError("exactly three quadrupole misalignments required")
-        for dx, dy in self.quad_misalignments:
-            if not (math.isfinite(dx) and math.isfinite(dy)):
-                raise OpticsError("non-finite quadrupole misalignment")
-
 
 def track(lattice: Lattice, settings, incoming: TransverseState) -> TransverseState:
     """Transport the incoming beam to the screen plane.
 
     ``settings`` provides q1/q2/q3 strengths [1/m^2] and cv/ch angles [rad]
-    (see :class:`beamtune.task.MagnetSettings`); callers are responsible for
-    clamping to actuator ranges first.
+    (see :class:`beamtune.task.MagnetSettings`). It checks nothing: the
+    settings, the lattice and the beam were checked where they entered.
     """
     g = lattice.geometry
     d = [(_drift_block(length), 0.0, 0.0) for length in g.drift_lengths()]
@@ -328,15 +311,16 @@ def read_screen(
     :class:`~beamtune.task.Trial` carries it. Positions are reported
     relative to the displaced screen centre and optionally blurred with
     independent Gaussian noise of width ``noise_sigma`` [m], drawn from
-    ``rng``; beam sizes are read without noise.
+    ``rng``; beam sizes are read without noise. The one guard on ``track``'s
+    output: raises :class:`OpticsError` unless mu and var are finite, var >= 0.
     """
     var_x = float(state.covariance[0, 0])
     var_y = float(state.covariance[2, 2])
-    if var_x < 0 or var_y < 0:
-        raise OpticsError("negative covariance diagonal at screen")
     dx, dy = screen_misalignment
     mu_x = float(state.mean[0]) - dx
     mu_y = float(state.mean[2]) - dy
+    if not (all(map(math.isfinite, (mu_x, mu_y, var_x, var_y))) and var_x >= 0 and var_y >= 0):
+        raise OpticsError(f"invalid beam at screen: mu, var (m, m^2) {(mu_x, mu_y, var_x, var_y)}")
     if noise_sigma > 0:
         if rng is None:
             raise OpticsError("noise_sigma > 0 requires an rng")

@@ -103,20 +103,32 @@ class Trial:
     initial_settings: MagnetSettings
 
     def __post_init__(self) -> None:
+        mean = np.asarray(self.incoming.mean, dtype=float)
+        cov = np.asarray(self.incoming.covariance, dtype=float)
+        if (mean.shape, cov.shape) != ((4,), (4, 4)):
+            raise ValueError(f"{self.trial_id}: incoming mean and covariance have shapes "
+                             f"{mean.shape} and {cov.shape}, expected (4,) and (4, 4)")
         for name, values in (
             ("target", self.target.as_tuple()),
+            ("incoming mean", mean.tolist()),
+            ("incoming covariance", cov.ravel().tolist()),
             ("quad misalignments", [v for offset in self.quad_misalignments for v in offset]),
             ("screen misalignment", self.screen_misalignment),
+            ("initial settings", self.initial_settings.as_tuple()),
         ):
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{self.trial_id}: non-finite {name} {tuple(values)}")
+        if not np.allclose(cov, cov.T, atol=1e-12):
+            raise ValueError(f"{self.trial_id}: incoming covariance is not symmetric")
+        if np.any(np.diag(cov) < -1e-15):
+            raise ValueError(f"{self.trial_id}: incoming covariance has a negative diagonal")
         # an all-zero target ("as small as possible") is a valid task
         if self.target.sigma_x < 0 or self.target.sigma_y < 0:
-            raise ValueError("target beam sizes must be non-negative")
+            raise ValueError(f"{self.trial_id}: target beam sizes must be non-negative")
         if not self.initial_settings.in_range():
-            raise ValueError("initial settings outside the actuator ranges")
+            raise ValueError(f"{self.trial_id}: initial settings outside the actuator ranges")
         if len(self.quad_misalignments) != 3:
-            raise ValueError("a trial carries exactly three quadrupole misalignments")
+            raise ValueError(f"{self.trial_id}: a trial carries exactly three quad misalignments")
 
 
 @dataclass(frozen=True)
@@ -354,4 +366,7 @@ def trials_from_document(doc: dict) -> list[Trial]:
     trials = [trial_from_dict(d) for d in doc["trials"]]
     if not trials:
         raise ValueError("a trial fixture needs at least one trial, got none")
+    for index, trial in enumerate(trials):  # a duplicate's runs would overwrite the first's
+        if trial.trial_id in (earlier.trial_id for earlier in trials[:index]):
+            raise ValueError(f"duplicate trial_id {trial.trial_id!r}")
     return trials

@@ -739,6 +739,31 @@ class TestCLI:
         ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"],
          {"t.yaml": _fixture_with(math.nan, "quad_misalignments_m", 1, 0)},
          r"^--trials-fixture: trial-001: non-finite quad misalignments \(.*, nan, "),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"],
+         {"t.yaml": _fixture_with(math.nan, "incoming", "mean", 0)},
+         r"^--trials-fixture: trial-001: non-finite incoming mean \(nan, "),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"],
+         {"t.yaml": _fixture_with([0.0, 0.0, 0.0], "incoming", "mean")},
+         r"^--trials-fixture: trial-001: incoming mean and covariance have shapes \(3,\) and "
+         r"\(4, 4\), expected \(4,\) and \(4, 4\)$"),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"],
+         {"t.yaml": _fixture_with(1e-9, "incoming", "covariance", 0, 1)},
+         r"^--trials-fixture: trial-001: incoming covariance is not symmetric$"),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"],
+         {"t.yaml": _fixture_with(-1e-8, "incoming", "covariance", 2, 2)},
+         r"^--trials-fixture: trial-001: incoming covariance has a negative diagonal$"),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"],
+         {"t.yaml": _fixture_with(math.nan, "initial_settings", "q1")},
+         r"^--trials-fixture: trial-001: non-finite initial settings \(nan, "),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"],
+         {"t.yaml": _fixture_with(31.0, "initial_settings", "q1")},
+         r"^--trials-fixture: trial-001: initial settings outside the actuator ranges$"),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"],
+         {"t.yaml": _fixture_with(-0.1, "target_mm", "sigma_y")},
+         r"^--trials-fixture: trial-001: target beam sizes must be non-negative$"),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"],
+         {"t.yaml": yaml.safe_dump(trials_to_document([make_trial(1)] * 2))},
+         r"^--trials-fixture: duplicate trial_id 'trial-001'$"),
         (["report", "--in", "{tmp}"], {},
          r"^--in: \[Errno 2\] No such file or directory: '.*summary\.json'$"),
         (["report", "--in", "{tmp}"], {"summary.json": '{"schema": "other/v1"}'},
@@ -785,6 +810,9 @@ class TestCLI:
         "generate-count-0", "generate-count-negative",
         "fixture-not-yaml", "fixture-list", "fixture-missing-field", "fixture-no-trials",
         "fixture-v1", "fixture-target-nan", "fixture-screen-inf", "fixture-quad-nan",
+        "fixture-mean-nan", "fixture-mean-3", "fixture-cov-asymmetric",
+        "fixture-cov-negative-diagonal", "fixture-initial-nan", "fixture-initial-out-of-range",
+        "fixture-target-sigma-negative", "fixture-duplicate-trial",
         "report-no-summary", "report-foreign-schema", "report-missing-field", "report-list",
         "generate-seed-negative", "llm-null", "backends-null", "openai-null",
         "openai-base-url-null", "openai-base-url-int", "openai-rpm-negative", "openai-rpm-word",

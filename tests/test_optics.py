@@ -9,7 +9,9 @@ Strategy
 4. Tracking: affinity in the incoming mean, covariance stays symmetric PSD,
    and the same bits as composing (x, y) element pairs, with an identity
    element for each corrector in its other plane.
-5. Screen readout conventions and noise behaviour.
+5. Screen readout conventions, noise behaviour and the guard on a
+   non-finite beam; the inputs themselves are checked where they enter
+   (``Trial``, ``LatticeGeometry``, ``TuningEnvironment.step``).
 """
 
 from __future__ import annotations
@@ -121,12 +123,6 @@ class TestQuadMap:
         out = track(lattice, centred_settings(q1=22.0), pencil_state())
         assert out.mean[1] != 0.0  # horizontal steering from the offset
         assert out.mean[2] == 0.0 and out.mean[3] == 0.0
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(OpticsError):
-            quad_blocks(float("nan"), 0.122)
-        with pytest.raises(OpticsError):
-            quad_blocks(1.0, 0.0)
 
 
 class TestCorrectorMap:
@@ -323,6 +319,17 @@ class TestReadScreen:
         with pytest.raises(OpticsError):
             read_screen(state, noise_sigma=1e-5, rng=None)
 
+    @pytest.mark.parametrize("mean, variances", [
+        ((np.nan, 0.0, 0.0, 0.0), (1e-8, 1e-8, 1e-8, 1e-8)),
+        ((0.0, 0.0, 0.0, 0.0), (1e-8, 1e-8, np.inf, 1e-8)),
+        ((0.0, 0.0, 0.0, 0.0), (-1e-8, 1e-8, 1e-8, 1e-8)),
+    ], ids=["nan-mean", "inf-variance", "negative-variance"])
+    def test_invalid_beam_raises(self, mean, variances):
+        # the one guard on track's output: a bad beam from a direct call fails loudly
+        state = TransverseState(np.array(mean), np.diag(variances))
+        with pytest.raises(OpticsError, match="invalid beam at screen"):
+            read_screen(state)
+
 
 class TestGeometryValidation:
     def test_default_order_is_valid(self):
@@ -340,12 +347,8 @@ class TestGeometryValidation:
         with pytest.raises(OpticsError):
             LatticeGeometry(q2=0.18 + 0.122 - 1e-9)
 
-    def test_nonfinite_misalignment_rejected(self):
-        with pytest.raises(OpticsError):
-            Lattice(quad_misalignments=((0.0, 0.0), (float("nan"), 0.0), (0.0, 0.0)))
-
-    def test_state_validation(self):
-        with pytest.raises(OpticsError):
-            TransverseState(np.zeros(4), -np.eye(4))
-        with pytest.raises(OpticsError):
-            TransverseState(np.array([np.nan, 0, 0, 0]), np.eye(4))
+    def test_bad_quad_length_rejected(self):
+        # the only check of the quadrupole length: quad_blocks trusts it
+        for length in (0.0, -0.122, math.nan, math.inf):
+            with pytest.raises(OpticsError, match="invalid quadrupole length"):
+                LatticeGeometry(quad_length=length)
