@@ -8,10 +8,10 @@ packaged defaults, and a key the defaults do not have is an error. So
 ``llm.DIALECTS``. The lattice and trial generator sections must be ones
 their constructors accept. The noise sigma, the llm loop's scalars, each
 backend's ``base_url`` and rate limit, the es and bo options and the
-harness counts must each be of the kind ``_VALUE_RULES`` names for it,
-with at least one worker. Credentials never live in config files; the API
-key is read from the ``LLM_API_KEY`` environment variable by the llm
-module.
+harness counts must each be of the kind ``_VALUE_RULES`` names for it;
+every harness count is an integer >= 1. Credentials never live in config
+files; the API key is read from the ``LLM_API_KEY`` environment variable by
+the llm module.
 """
 
 from __future__ import annotations
@@ -31,26 +31,20 @@ __all__ = ["CONFIG_SCHEMA", "Config", "load_config"]
 CONFIG_SCHEMA = "beamtune/config/v1"
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = value
-    return merged
-
-
-def _unknown_keys(default: dict, override: dict, path: tuple = ()) -> list[str]:
-    """Dotted paths of the ``override`` keys that ``default`` does not have."""
-    unknown = []
+def _merged(default: dict, override: dict, path: tuple = ()) -> tuple[dict, list[str]]:
+    """``default`` overlaid with ``override``, and the dotted paths of the
+    ``override`` keys that ``default`` does not have."""
+    merged, unknown = dict(default), []
     for key, value in override.items():
         here = (*path, key)
         if key not in default:
             unknown.append(".".join(map(str, here)))
         elif isinstance(value, dict) and isinstance(default[key], dict):
-            unknown.extend(_unknown_keys(default[key], value, here))
-    return unknown
+            merged[key], below = _merged(default[key], value, here)
+            unknown.extend(below)
+        else:
+            merged[key] = value
+    return merged, unknown
 
 
 class Config:
@@ -106,10 +100,9 @@ def load_config(path: str | Path | None = None) -> Config:
         if not isinstance(override, dict):
             raise ValueError(f"config file {path} must contain a mapping")
         override.setdefault("schema", CONFIG_SCHEMA)
-        unknown = _unknown_keys(data, override)
+        data, unknown = _merged(data, override)
         if unknown:
             raise ValueError("unknown config key: " + ", ".join(unknown))
-        data = _deep_merge(data, override)
     return _checked(Config(data))
 
 
@@ -121,11 +114,15 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_count(value) -> bool:
+    return _is_integer(value) and value >= 1
+
+
 # (dotted key, what its value must be, the test of that)
 _VALUE_RULES = (
     ("noise.screen_position_sigma_m", "a finite value >= 0",
      lambda v: _is_number(v) and v >= 0),
-    ("llm.window", "an integer >= 1", lambda v: _is_integer(v) and v >= 1),
+    ("llm.window", "an integer >= 1", _is_count),
     ("llm.temperature", "null or a finite value >= 0",
      lambda v: v is None or (_is_number(v) and v >= 0)),
     ("llm.timeout_s", "a finite value > 0", lambda v: _is_number(v) and v > 0),
@@ -134,11 +131,10 @@ _VALUE_RULES = (
     ("optimizers.es.amplitude", "a finite value >= 0", lambda v: _is_number(v) and v >= 0),
     ("optimizers.es.dt", "a finite value", _is_number),
     ("optimizers.bo.n_init", "an integer", _is_integer),
-    ("optimizers.bo.n_candidates", "an integer >= 1", lambda v: _is_integer(v) and v >= 1),
+    ("optimizers.bo.n_candidates", "an integer >= 1", _is_count),
     ("optimizers.bo.n_refine", "an integer >= 0", lambda v: _is_integer(v) and v >= 0),
-    ("harness.budget", "an integer", _is_integer),
-    ("harness.seeds", "an integer", _is_integer),
-    ("harness.workers", "an integer", _is_integer),
+    *((f"harness.{count}", "an integer >= 1", _is_count)
+      for count in ("budget", "seeds", "workers")),
     *(rule for dialect in DIALECTS for rule in (
         (f"llm.backends.{dialect}.base_url", "a non-empty string",
          lambda v: isinstance(v, str) and v != ""),
@@ -170,7 +166,4 @@ def _checked(config: Config) -> Config:
         value = _lookup(config.data, key)
         if not valid(value):
             raise ValueError(f"{key} must be {kind}, got {value!r}")
-    workers = config.data["harness"]["workers"]
-    if workers < 1:
-        raise ValueError(f"harness.workers must be at least 1, got {workers}")
     return config

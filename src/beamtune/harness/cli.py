@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from importlib import import_module
 from pathlib import Path
 
 import yaml
@@ -49,29 +51,33 @@ OPTIMIZERS = {
 }
 
 
-def _one_line(exc: BaseException) -> str:
-    """The error's message on one line (YAML errors span several)."""
-    return " ".join(str(exc).split())
+@contextmanager
+def _reading(source: str):
+    """Exit with one line naming ``source`` if reading it fails."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SystemExit(f"{source}: missing field {exc}") from exc
+    except (OSError, ImportError, AttributeError, TypeError, ValueError, yaml.YAMLError) as exc:
+        # on one line: YAML errors span several
+        raise SystemExit(f"{source}: {' '.join(str(exc).split())}") from exc
+
+
+def _at_least(flag: str, value: int | None, low: int) -> None:
+    with _reading(flag):
+        if value is not None and value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
 
 
 def _load_config(args) -> Config:
-    try:
+    with _reading("--config"):
         return load_config(args.config)
-    except ValueError as exc:  # a key or value the config rejects: exit naming it
-        raise SystemExit(_one_line(exc)) from exc
-    except (OSError, yaml.YAMLError) as exc:
-        raise SystemExit(f"--config: {_one_line(exc)}") from exc
 
 
 def _load_trials(args, config: Config) -> list[Trial]:
     if args.trials_fixture:
-        try:
-            with open(args.trials_fixture, "r", encoding="utf-8") as handle:
-                return trials_from_document(yaml.safe_load(handle))
-        except KeyError as exc:
-            raise SystemExit(f"--trials-fixture: missing field {exc}") from exc
-        except (OSError, TypeError, ValueError, yaml.YAMLError) as exc:
-            raise SystemExit(f"--trials-fixture: {_one_line(exc)}") from exc
+        with _reading("--trials-fixture"), open(args.trials_fixture, encoding="utf-8") as handle:
+            return trials_from_document(yaml.safe_load(handle))
     return canonical_trials(config.trial_generator())
 
 
@@ -82,13 +88,10 @@ def _build_backend_factory(args, config: Config):
     HTTP backend is shared so its rate limit covers the whole evaluation.
     """
     if args.script:
-        try:
-            with open(args.script, "r", encoding="utf-8") as handle:
-                responses = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"--script: {exc}") from exc
-        if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
-            raise SystemExit("--script file must hold a JSON list of strings")
+        with _reading("--script"), open(args.script, encoding="utf-8") as handle:
+            responses = json.load(handle)
+            if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
+                raise ValueError("the file must hold a JSON list of strings")
         return lambda: ScriptedBackend(list(responses), on_exhaust=args.script_on_exhaust)
     shared = HttpBackend(dialect=args.backend, **config.backend_options(args.backend))
     return lambda: shared
@@ -120,10 +123,14 @@ def _load_policy(spec: str | None):
     """The callable ``--policy`` names, imported once before any run."""
     if not spec:
         raise SystemExit("--policy module:attribute is required for the rlo optimizer")
-    try:
-        return ReinforcementPolicyOptimizer.from_spec(spec).policy
-    except (ImportError, AttributeError, TypeError, ValueError) as exc:
-        raise SystemExit(f"--policy: {_one_line(exc)}") from exc
+    with _reading("--policy"):
+        module_name, _, attribute = spec.partition(":")
+        if not module_name or not attribute:
+            raise ValueError(f"policy spec must look like 'module:attribute', got {spec!r}")
+        policy = getattr(import_module(module_name), attribute)
+        if not callable(policy):
+            raise TypeError(f"policy must be callable, got {policy!r}")
+        return policy
 
 
 def _optimizer_factory(args, config: Config, budget: int):
@@ -142,19 +149,16 @@ def _optimizer_factory(args, config: Config, budget: int):
 
 
 def _cmd_run(args) -> int:
+    _at_least("--budget", args.budget, 1)
+    _at_least("--seeds", args.seeds, 1)
     config = _load_config(args)
     harness_options = config.harness_options()
     budget = args.budget if args.budget is not None else harness_options["budget"]
     n_seeds = args.seeds if args.seeds is not None else harness_options["seeds"]
-    for name, value in (("budget", budget), ("seeds", n_seeds)):
-        if value < 1:
-            raise SystemExit(f"{name} must be at least 1, got {value}")
     factory, optimizer_id = _optimizer_factory(args, config, budget)
     trials = _load_trials(args, config)
-    try:  # a run's results are lost if they cannot be written at its end
+    with _reading("--out"):  # a run's results are lost if they cannot be written at its end
         (Path(args.out) / "runs").mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise SystemExit(f"--out: {_one_line(exc)}") from exc
     summary = evaluate(
         trials,
         factory,
@@ -175,21 +179,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
+    with _reading("--in"):
         path = regenerate_csv(args.in_dir)
-    except KeyError as exc:
-        raise SystemExit(f"--in: missing field {exc}") from exc
-    except (OSError, TypeError, ValueError) as exc:
-        raise SystemExit(f"--in: {_one_line(exc)}") from exc
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_trials_generate(args) -> int:
-    if args.count < 1:
-        raise SystemExit(f"count must be at least 1, got {args.count}")
-    if args.seed < 0:
-        raise SystemExit(f"seed must be at least 0, got {args.seed}")
+    _at_least("--count", args.count, 1)
+    _at_least("--seed", args.seed, 0)
     config = _load_config(args)
     trials = [
         make_trial(seed, config.trial_generator())

@@ -23,8 +23,10 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import requests
+if TYPE_CHECKING:  # imported where used: only HttpBackend needs requests
+    import requests
 
 __all__ = [
     "AuthenticationError",
@@ -210,6 +212,8 @@ class HttpBackend:
         if self._shared_session is not None:
             return self._shared_session
         if not hasattr(self._thread, "session"):
+            import requests
+
             self._thread.session = requests.Session()
         return self._thread.session
 
@@ -264,6 +268,8 @@ class HttpBackend:
     # -- transport ----------------------------------------------------------
 
     def complete(self, request: ChatRequest) -> ChatResponse:
+        import requests
+
         payload = self._payload(request)
         url = self._endpoint()
         last_error: TransportError | None = None

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from importlib import import_module
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -71,21 +70,13 @@ class ReinforcementPolicyOptimizer:
     package.
 
     The policy is any callable mapping the sample history to the next
-    :class:`MagnetSettings`, kept as ``policy``. ``from_spec`` loads one
-    from a ``"module:attribute"`` string naming the policy itself.
+    :class:`MagnetSettings`, kept as ``policy``.
     """
 
     def __init__(self, policy) -> None:
         if not callable(policy):
             raise TypeError("policy must be callable(history) -> MagnetSettings")
         self.policy = policy
-
-    @classmethod
-    def from_spec(cls, spec: str) -> "ReinforcementPolicyOptimizer":
-        module_name, _, attribute = spec.partition(":")
-        if not module_name or not attribute:
-            raise ValueError(f"policy spec must look like 'module:attribute', got {spec!r}")
-        return cls(getattr(import_module(module_name), attribute))
 
     def propose(self, history: Sequence[Sample]) -> MagnetSettings:
         settings = self.policy(history)

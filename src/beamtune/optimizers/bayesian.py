@@ -139,8 +139,4 @@ class BayesianOptimizer:
             top = int(np.argmax(refined_ei))
             if refined_ei[top] > best_ei:
                 best_u = refined[top]
-
-        if not np.all(np.isfinite(best_u)):
-            self.fallback_steps.append(n)
-            return self._fallback.propose(history)
         return denormalize(best_u)

@@ -332,23 +332,37 @@ def trial_to_dict(trial: Trial) -> dict:
 
 
 def trial_from_dict(data: dict) -> Trial:
+    trial_id = str(data["trial_id"])
+
+    def read(name: str, convert):
+        """``convert()``, failing with the trial and the field named."""
+        try:
+            return convert()
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{trial_id}: {name}: {exc}") from exc
+
     target = data["target_mm"]
+    incoming = data["incoming"]
     init = data["initial_settings"]
     return Trial(
-        trial_id=str(data["trial_id"]),
-        seed=int(data["seed"]),
-        target=BeamParameters(
+        trial_id=trial_id,
+        seed=read("seed", lambda: int(data["seed"])),
+        target=read("target", lambda: BeamParameters(
             **{field.name: float(target[field.name]) for field in fields(BeamParameters)}
-        ),
+        )),
         incoming=TransverseState(
-            np.asarray(data["incoming"]["mean"], dtype=float),
-            np.asarray(data["incoming"]["covariance"], dtype=float),
+            read("incoming mean", lambda: np.asarray(incoming["mean"], dtype=float)),
+            read("incoming covariance", lambda: np.asarray(incoming["covariance"], dtype=float)),
         ),
-        quad_misalignments=tuple(
+        quad_misalignments=read("quad misalignments", lambda: tuple(
             (float(dx), float(dy)) for dx, dy in data["quad_misalignments_m"]
-        ),
-        screen_misalignment=tuple(float(v) for v in data["screen_misalignment_m"]),
-        initial_settings=MagnetSettings(**{name: float(init[name]) for name in ACTUATOR_NAMES}),
+        )),
+        screen_misalignment=read("screen misalignment", lambda: tuple(
+            float(v) for v in data["screen_misalignment_m"]
+        )),
+        initial_settings=read("initial settings", lambda: MagnetSettings(
+            **{name: float(init[name]) for name in ACTUATOR_NAMES}
+        )),
     )
 
 

@@ -45,6 +45,16 @@ def test_negative_or_nonfinite_noise_rejected(tmp_path, value, shown):
         load_config(path)
 
 
+@pytest.mark.parametrize("key", ["budget", "seeds", "workers"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_harness_counts_below_one_rejected(tmp_path, key, value):
+    # every command reads these counts, so each is checked at load
+    path = tmp_path / "harness.yaml"
+    path.write_text(f"harness:\n  {key}: {value}\n")
+    with pytest.raises(ValueError, match=rf"^harness\.{key} must be an integer >= 1, got {value}$"):
+        load_config(path)
+
+
 def test_trial_generator_ranges_parsed(tmp_path):
     path = tmp_path / "override.yaml"
     path.write_text("trial_generator:\n  target_position_mm: [-1.0, 1.0]\n")

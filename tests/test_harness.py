@@ -630,7 +630,8 @@ class TestCLI:
     def test_backend_without_base_url_exits_at_load(self, tmp_path):
         config = tmp_path / "config.yaml"
         config.write_text("llm:\n  backends:\n    openai:\n      base_url: null\n")
-        expected = r"^llm\.backends\.openai\.base_url must be a non-empty string, got None$"
+        expected = (r"^--config: llm\.backends\.openai\.base_url must be a non-empty string, "
+                    r"got None$")
         with pytest.raises(SystemExit, match=expected):
             cli_main([
                 "run", "--optimizer", "llm", "--model", "m",
@@ -657,10 +658,10 @@ class TestCLI:
             ])
 
     @pytest.mark.parametrize("flags, config_text, message", [
-        (["--budget", "0"], None, "budget must be at least 1, got 0"),
-        (["--budget", "-3"], None, "budget must be at least 1, got -3"),
-        (["--seeds", "0"], None, "seeds must be at least 1, got 0"),
-        ([], "harness:\n  seeds: 0\n", "seeds must be at least 1, got 0"),
+        (["--budget", "0"], None, "--budget: must be at least 1, got 0"),
+        (["--budget", "-3"], None, "--budget: must be at least 1, got -3"),
+        (["--seeds", "0"], None, "--seeds: must be at least 1, got 0"),
+        ([], "harness:\n  seeds: 0\n", r"--config: harness\.seeds must be an integer >= 1, got 0"),
     ], ids=["budget-0", "budget-negative", "seeds-0", "config-seeds-0"])
     def test_budget_and_seeds_below_one_exit(self, tmp_path, flags, config_text, message):
         if config_text is not None:
@@ -677,45 +678,46 @@ class TestCLI:
         ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "lattice: {q2: 0.1\n"},
          r"^--config: while parsing a flow mapping in \".*c\.yaml\", line 1, column 10 .*$"),
         ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "lattice:\n  q2: 0.1\n"},
-         r"^lattice: element order violated at 'q2': starts at 0\.1 before 0\.302$"),
+         r"^--config: lattice: element order violated at 'q2': starts at 0\.1 before 0\.302$"),
         ([*_GENERATE, "--config", "{tmp}/c.yaml"], {"c.yaml": "lattice:\n  q2: 0.1\n"},
-         r"^lattice: element order violated at 'q2'"),
+         r"^--config: lattice: element order violated at 'q2'"),
         ([*_RUN, "--config", "{tmp}/c.yaml"],
          {"c.yaml": "trial_generator:\n  target_sigma_mm: [1.0, 0.5]\n"},
-         r"^trial_generator: malformed generator range target_sigma_mm: \(1\.0, 0\.5\)$"),
+         r"^--config: trial_generator: malformed generator range target_sigma_mm: "
+         r"\(1\.0, 0\.5\)$"),
         ([*_GENERATE, "--config", "{tmp}/c.yaml"],
          {"c.yaml": "trial_generator:\n  target_sigma_mm: [1.0, 0.5]\n"},
-         r"^trial_generator: malformed generator range target_sigma_mm"),
+         r"^--config: trial_generator: malformed generator range target_sigma_mm"),
         ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "harness:\n  workers: two\n"},
-         r"^harness\.workers must be an integer, got 'two'$"),
+         r"^--config: harness\.workers must be an integer >= 1, got 'two'$"),
         ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "harness:\n  workers: 1.5\n"},
-         r"^harness\.workers must be an integer, got 1\.5$"),
+         r"^--config: harness\.workers must be an integer >= 1, got 1\.5$"),
         ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "harness:\n  workers: -4\n"},
-         r"^harness\.workers must be at least 1, got -4$"),
+         r"^--config: harness\.workers must be an integer >= 1, got -4$"),
         ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "harness:\n  workers: 0\n"},
-         r"^harness\.workers must be at least 1, got 0$"),
+         r"^--config: harness\.workers must be an integer >= 1, got 0$"),
         ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "harness: null\n"},
-         r"^harness must be a mapping, got None$"),
+         r"^--config: harness must be a mapping, got None$"),
         ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "llm: {window: 0}\n"},
-         r"^llm\.window must be an integer >= 1, got 0$"),
+         r"^--config: llm\.window must be an integer >= 1, got 0$"),
         ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "llm: {temperature: -1.0}\n"},
-         r"^llm\.temperature must be null or a finite value >= 0, got -1\.0$"),
+         r"^--config: llm\.temperature must be null or a finite value >= 0, got -1\.0$"),
         ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "llm: {timeout_s: fast}\n"},
-         r"^llm\.timeout_s must be a finite value > 0, got 'fast'$"),
+         r"^--config: llm\.timeout_s must be a finite value > 0, got 'fast'$"),
         ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "llm: {second_chance_feedback: 3}\n"},
-         r"^llm\.second_chance_feedback must be true or false, got 3$"),
+         r"^--config: llm\.second_chance_feedback must be true or false, got 3$"),
         ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "optimizers: {es: {amplitude: -1.0}}\n"},
-         r"^optimizers\.es\.amplitude must be a finite value >= 0, got -1\.0$"),
+         r"^--config: optimizers\.es\.amplitude must be a finite value >= 0, got -1\.0$"),
         ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "optimizers: {es: null}\n"},
-         r"^optimizers\.es must be a mapping, got None$"),
+         r"^--config: optimizers\.es must be a mapping, got None$"),
         ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "optimizers: {bo: {n_candidates: 0}}\n"},
-         r"^optimizers\.bo\.n_candidates must be an integer >= 1, got 0$"),
+         r"^--config: optimizers\.bo\.n_candidates must be an integer >= 1, got 0$"),
         ([*_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "optimizers: {bo: {n_refine: -1}}\n"},
-         r"^optimizers\.bo\.n_refine must be an integer >= 0, got -1$"),
+         r"^--config: optimizers\.bo\.n_refine must be an integer >= 0, got -1$"),
         ([*_GENERATE, "--count", "0", "--out", "{tmp}/r"], {},
-         r"^count must be at least 1, got 0$"),
+         r"^--count: must be at least 1, got 0$"),
         ([*_GENERATE, "--count", "-2", "--out", "{tmp}/r"], {},
-         r"^count must be at least 1, got -2$"),
+         r"^--count: must be at least 1, got -2$"),
         ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"], {"t.yaml": "schema: [\n"},
          r"^--trials-fixture: while parsing a flow node .*t\.yaml\", line 2, column 1$"),
         ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"], {"t.yaml": "- 1\n- 2\n"},
@@ -773,34 +775,44 @@ class TestCLI:
          r"^--in: missing field 'aggregates'$"),
         (["report", "--in", "{tmp}"], {"summary.json": "[]"},
          r"^--in: a summary is a mapping, got list$"),
-        ([*_GENERATE[:-1], "-1", "--out", "{tmp}/r"], {}, r"^seed must be at least 0, got -1$"),
+        ([*_GENERATE[:-1], "-1", "--out", "{tmp}/r"], {}, r"^--seed: must be at least 0, got -1$"),
         ([*_LLM_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "llm: null\n"},
-         r"^llm must be a mapping, got None$"),
+         r"^--config: llm must be a mapping, got None$"),
         ([*_LLM_RUN, "--config", "{tmp}/c.yaml"], {"c.yaml": "llm: {backends: null}\n"},
-         r"^llm\.backends must be a mapping, got None$"),
+         r"^--config: llm\.backends must be a mapping, got None$"),
         ([*_LLM_RUN, "--config", "{tmp}/c.yaml"],
          {"c.yaml": "llm: {backends: {openai: null}}\n"},
-         r"^llm\.backends\.openai must be a mapping, got None$"),
+         r"^--config: llm\.backends\.openai must be a mapping, got None$"),
         ([*_LLM_RUN, "--config", "{tmp}/c.yaml"],
          {"c.yaml": "llm: {backends: {openai: {base_url: null}}}\n"},
-         r"^llm\.backends\.openai\.base_url must be a non-empty string, got None$"),
+         r"^--config: llm\.backends\.openai\.base_url must be a non-empty string, got None$"),
         ([*_LLM_RUN, "--config", "{tmp}/c.yaml"],
          {"c.yaml": "llm: {backends: {openai: {base_url: 3}}}\n"},
-         r"^llm\.backends\.openai\.base_url must be a non-empty string, got 3$"),
+         r"^--config: llm\.backends\.openai\.base_url must be a non-empty string, got 3$"),
         ([*_LLM_RUN, "--config", "{tmp}/c.yaml"],
          {"c.yaml": "llm: {backends: {openai: {requests_per_minute: -5}}}\n"},
-         r"^llm\.backends\.openai\.requests_per_minute must be null or a finite value > 0, "
-         r"got -5$"),
+         r"^--config: llm\.backends\.openai\.requests_per_minute must be null or a finite "
+         r"value > 0, got -5$"),
         ([*_LLM_RUN, "--config", "{tmp}/c.yaml"],
          {"c.yaml": "llm: {backends: {openai: {requests_per_minute: abc}}}\n"},
-         r"^llm\.backends\.openai\.requests_per_minute must be null or a finite value > 0, "
-         r"got 'abc'$"),
+         r"^--config: llm\.backends\.openai\.requests_per_minute must be null or a finite "
+         r"value > 0, got 'abc'$"),
         ([*_LLM_RUN, "--config", "{tmp}/c.yaml"],
          {"c.yaml": "llm: {backends: {openai: {dialect: ollama}}}\n"},
-         r"^unknown config key: llm\.backends\.openai\.dialect$"),
+         r"^--config: unknown config key: llm\.backends\.openai\.dialect$"),
         ([*_LLM_RUN, "--config", "{tmp}/c.yaml"],
          {"c.yaml": 'llm: {backends: {mine: {base_url: "http://x"}}}\n'},
-         r"^unknown config key: llm\.backends\.mine$"),
+         r"^--config: unknown config key: llm\.backends\.mine$"),
+        ([*_GENERATE, "--config", "{tmp}/c.yaml", "--out", "{tmp}/r"],
+         {"c.yaml": "harness: {budget: 0}\n"},
+         r"^--config: harness\.budget must be an integer >= 1, got 0$"),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"],
+         {"t.yaml": _fixture_with([0.0, 0.0, 0.0], "incoming", "covariance", 1)},
+         r"^--trials-fixture: trial-001: incoming covariance: setting an array element with a "
+         r"sequence\. "),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"],
+         {"t.yaml": _fixture_with("abc", "target_mm", "mu_x")},
+         r"^--trials-fixture: trial-001: target: could not convert string to float: 'abc'$"),
     ], ids=[
         "config-missing", "config-not-yaml", "run-lattice", "generate-lattice",
         "run-trial-generator", "generate-trial-generator", "workers-word", "workers-float",
@@ -816,7 +828,8 @@ class TestCLI:
         "report-no-summary", "report-foreign-schema", "report-missing-field", "report-list",
         "generate-seed-negative", "llm-null", "backends-null", "openai-null",
         "openai-base-url-null", "openai-base-url-int", "openai-rpm-negative", "openai-rpm-word",
-        "openai-dialect", "backend-not-a-dialect",
+        "openai-dialect", "backend-not-a-dialect", "generate-config-budget-0",
+        "fixture-cov-ragged", "fixture-target-word",
     ])
     def test_malformed_input_exits_with_one_line(self, tmp_path, argv, files, message):
         for name, text in files.items():
@@ -836,8 +849,8 @@ class TestCLI:
         assert list((out / "runs").iterdir()) == []
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats is only needed once a BayesianOptimizer is built,
-        # which loading the config does not do
+        # scipy.stats is only needed once a BayesianOptimizer is built, and
+        # requests once an HttpBackend talks; loading the config does neither
         import beamtune
 
         env = dict(os.environ)
@@ -846,12 +859,12 @@ class TestCLI:
         )
         code = (
             "import sys, beamtune.harness.cli; beamtune.config.load_config(); "
-            "print('scipy.stats' in sys.modules)"
+            "print('scipy.stats' in sys.modules, 'requests' in sys.modules)"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert result.stdout.strip() == "False"
+        assert result.stdout.split() == ["False", "False"]
 
     def test_rlo_run_with_external_policy(self, tmp_path):
         out = tmp_path / "results"
@@ -861,6 +874,17 @@ class TestCLI:
         ]) == 0
         data = load_summary(out)
         assert data["optimizers"][0]["optimizer_id"] == "rlo"
+
+    def test_rlo_policy_is_the_named_attribute(self, tmp_path):
+        # loading never calls the policy, not even one that takes no arguments
+        out = tmp_path / "results"
+        assert cli_main([
+            "run", "--optimizer", "rlo",
+            "--policy", "test_optimizers:_policy_with_default_history",
+            "--budget", "2", "--seeds", "1", "--out", str(out),
+        ]) == 0
+        runs = load_summary(out)["optimizers"][0]["runs"]
+        assert [run["steps_taken"] for run in runs] == [2] * len(runs)
 
     @pytest.mark.parametrize("spec, message", [
         ("nosuchmod:x", r"^--policy: No module named 'nosuchmod'$"),

@@ -175,6 +175,48 @@ class TestGaussianProcess:
         mean, std = gp.predict(np.array([[0.25] * 5]))
         assert np.isfinite(mean[0]) and np.isfinite(std[0])
 
+    @staticmethod
+    def _duplicated_rows() -> np.ndarray:
+        X = np.random.default_rng(0).uniform(-1, 1, size=(4, 5))
+        return np.vstack([X, X])  # an exactly singular kernel matrix without noise
+
+    @staticmethod
+    def _count_factorisations(monkeypatch) -> list[bool]:
+        """Whether each Cholesky attempt of the jitter ladder succeeded."""
+        outcomes = []
+        cholesky = gp_module.cholesky
+
+        def counting(K, **kwargs):
+            try:
+                L = cholesky(K, **kwargs)
+            except np.linalg.LinAlgError:
+                outcomes.append(False)
+                raise
+            outcomes.append(True)
+            return L
+
+        monkeypatch.setattr(gp_module, "cholesky", counting)
+        return outcomes
+
+    def test_singular_kernel_factorises_on_the_second_jitter(self, monkeypatch):
+        outcomes = self._count_factorisations(monkeypatch)
+        X = self._duplicated_rows()
+        gp = GaussianProcess.from_hyperparameters(X, np.arange(8.0), 0.5, 1.0, 0.0)
+        assert outcomes == [False, True]
+        r = np.sqrt(gp_module._scaled_sq_dists(X, X, gp.lengthscales))
+        K = gp_module._matern52(r, 1.0)[0] + gp_module._JITTERS[1] * np.eye(len(X))
+        np.testing.assert_allclose(gp._L @ gp._L.T, K, rtol=0, atol=1e-14)
+
+    def test_every_jitter_failing_raises_gp_fit_error(self, monkeypatch):
+        # at signal_std 1e8 the kernel's entries are ~1e16, and the largest
+        # jitter (1e-4) is below their rounding
+        outcomes = self._count_factorisations(monkeypatch)
+        with pytest.raises(GPFitError, match="^kernel matrix is not positive definite$"):
+            GaussianProcess.from_hyperparameters(
+                self._duplicated_rows(), np.arange(8.0), 0.5, 1e8, 0.0
+            )
+        assert outcomes == [False] * len(gp_module._JITTERS)
+
 
 def _reference_nll_and_grad(log_theta, X, y):
     """The likelihood computed from ``X`` alone on every call, with the
@@ -470,29 +512,6 @@ class TestPolicyStub:
     def test_rejects_non_callable(self):
         with pytest.raises(TypeError):
             ReinforcementPolicyOptimizer("not a policy")
-
-    def test_from_spec_loads_module_attribute(self):
-        optimizer = ReinforcementPolicyOptimizer.from_spec(
-            "test_optimizers:_example_policy"
-        )
-        history = [toy_sample(0, np.full(5, 0.2), 1.0)]
-        assert optimizer.propose(history) == history[0].settings
-
-    def test_from_spec_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            ReinforcementPolicyOptimizer.from_spec("no-colon")
-
-    def test_from_spec_rejects_non_callable_attribute(self):
-        with pytest.raises(TypeError):
-            ReinforcementPolicyOptimizer.from_spec("math:pi")
-
-    def test_from_spec_uses_the_attribute_as_the_policy(self):
-        # loading never calls the policy, not even one that takes no arguments
-        optimizer = ReinforcementPolicyOptimizer.from_spec(
-            "test_optimizers:_policy_with_default_history"
-        )
-        history = [toy_sample(0, np.full(5, 0.2), 1.0)]
-        assert optimizer.propose(history) == history[0].settings
 
 
 def _example_policy(history):
