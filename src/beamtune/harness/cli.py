@@ -26,7 +26,7 @@ import yaml
 
 from ..config import Config, load_config
 from ..fixtures import canonical_trials
-from ..llm import DIALECTS, HttpBackend, ScriptedBackend, default_system_prompt
+from ..llm import DIALECTS, HttpBackend, RateLimiter, ScriptedBackend, default_system_prompt
 from ..optimizers import (
     BayesianOptimizer,
     DoNothing,
@@ -48,6 +48,12 @@ OPTIMIZERS = {
     "es": (ExtremumSeeking, ("seed",)),
     "bo": (BayesianOptimizer, ("seed", "budget")),
     "rlo": (ReinforcementPolicyOptimizer, ("policy",)),
+}
+
+# The run flags that only one optimizer reads, by their argparse names.
+OWN_FLAGS = {
+    "llm": ("model", "prompt", "backend", "script", "script_on_exhaust"),
+    "rlo": ("policy",),
 }
 
 
@@ -84,22 +90,26 @@ def _load_trials(args, config: Config) -> list[Trial]:
 def _build_backend_factory(args, config: Config):
     """Per-run backend factory.
 
-    Scripted runs replay the script from the start in every run; a real
-    HTTP backend is shared so its rate limit covers the whole evaluation.
+    Scripted runs replay the script from the start in every run; HTTP runs
+    each open their own backend and share one rate limiter, so the limit
+    covers the whole evaluation.
     """
     if args.script:
         with _reading("--script"), open(args.script, encoding="utf-8") as handle:
             responses = json.load(handle)
             if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
                 raise ValueError("the file must hold a JSON list of strings")
-        return lambda: ScriptedBackend(list(responses), on_exhaust=args.script_on_exhaust)
-    shared = HttpBackend(dialect=args.backend, **config.backend_options(args.backend))
-    return lambda: shared
+        return lambda: ScriptedBackend(list(responses), args.script_on_exhaust or "repeat_last")
+    dialect = args.backend or "openai"
+    options = config.backend_options(dialect)
+    limiter = RateLimiter(options["requests_per_minute"])
+    return lambda: HttpBackend(options["base_url"], dialect, limiter)
 
 
 def _llm_factory(args, config: Config):
     if not args.model:
         raise SystemExit("--model is required for the llm optimizer")
+    prompt = args.prompt or "optimisation"
     backend_factory = _build_backend_factory(args, config)
     llm_options = config.llm_options()
 
@@ -107,7 +117,7 @@ def _llm_factory(args, config: Config):
         return LLMOptimizer(
             backend=backend_factory(),
             model=args.model,
-            prompt_kind=args.prompt,
+            prompt_kind=prompt,
             target=trial.target,
             temperature=llm_options["temperature"],
             timeout=float(llm_options["timeout_s"]),
@@ -116,7 +126,7 @@ def _llm_factory(args, config: Config):
             second_chance_feedback=llm_options["second_chance_feedback"],
         )
 
-    return factory, f"llm-{args.model}-{args.prompt}"
+    return factory, f"llm-{args.model}-{prompt}"
 
 
 def _load_policy(spec: str | None):
@@ -148,7 +158,17 @@ def _optimizer_factory(args, config: Config, budget: int):
     return factory, name
 
 
+def _reject_foreign_flags(args) -> None:
+    """Exit if a flag that only another optimizer reads was given."""
+    for owner, names in OWN_FLAGS.items():
+        for name in names:
+            if owner != args.optimizer and getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise SystemExit(f"{flag}: only --optimizer {owner} reads it")
+
+
 def _cmd_run(args) -> int:
+    _reject_foreign_flags(args)
     _at_least("--budget", args.budget, 1)
     _at_least("--seeds", args.seeds, 1)
     config = _load_config(args)
@@ -195,7 +215,8 @@ def _cmd_trials_generate(args) -> int:
     ]
     text = yaml.safe_dump(trials_to_document(trials), sort_keys=False)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with _reading("--out"):
+            Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -215,14 +236,18 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="evaluate one optimizer on the trial suite")
     run.add_argument("--config", default=None, help="YAML config overriding the defaults")
     run.add_argument("--optimizer", required=True, choices=(*OPTIMIZERS, "llm"))
-    run.add_argument("--prompt", default="optimisation", choices=PROMPT_KINDS)
+    # OWN_FLAGS default to None, so a flag given to another optimizer shows;
+    # the llm factory supplies the defaults the help names
+    run.add_argument("--prompt", default=None, choices=PROMPT_KINDS,
+                     help="prompt kind for the llm optimizer (default: optimisation)")
     run.add_argument("--model", default=None, help="model name for the llm optimizer")
-    run.add_argument("--backend", default="openai", choices=DIALECTS,
-                     help="wire dialect; its server is llm.backends.<dialect> in the config")
+    run.add_argument("--backend", default=None, choices=DIALECTS,
+                     help="wire dialect (default: openai); its server is "
+                     "llm.backends.<dialect> in the config")
     run.add_argument("--script", default=None,
                      help="JSON list of scripted responses replacing the HTTP backend")
-    run.add_argument("--script-on-exhaust", default="repeat_last",
-                     choices=("repeat_last", "error"))
+    run.add_argument("--script-on-exhaust", default=None, choices=("repeat_last", "error"),
+                     help="when the script runs out (default: repeat_last)")
     run.add_argument("--policy", default=None,
                      help="module:attribute of an external policy for the rlo optimizer")
     run.add_argument("--trials-fixture", default=None,

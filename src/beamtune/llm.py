@@ -129,7 +129,8 @@ class ChatResponse:
 
 
 class RateLimiter:
-    """Token bucket limiting requests per minute for one backend.
+    """Token bucket limiting requests per minute, shared by every backend
+    of one evaluation.
 
     ``requests_per_minute`` is None (no limit) or a finite value > 0.
     ``clock``/``sleeper`` are injectable for tests; with the defaults the
@@ -148,7 +149,7 @@ class RateLimiter:
         self._clock = clock
         self._sleeper = sleeper
         self._last = clock()
-        self._lock = threading.Lock()  # one backend may serve parallel episodes
+        self._lock = threading.Lock()  # parallel runs' backends share one limiter
 
     def acquire(self) -> None:
         if self.rate is None:
@@ -176,25 +177,24 @@ def chat(backend, request: ChatRequest) -> ChatResponse:
 # ---------------------------------------------------------------------------
 
 class HttpBackend:
-    """Chat client for an HTTP endpoint.
+    """Chat client for an HTTP endpoint, serving one run at a time.
 
     Parameters
     ----------
     base_url:   server root, e.g. "https://api.openai.com" or
                 "http://localhost:11434".
     dialect:    one of ``DIALECTS``: "openai" or "ollama".
-    requests_per_minute: None, or a client-side rate limit > 0 shared by
-                every thread that uses this backend.
-    session:    one session for every thread; by default each thread
-                opens its own, since a ``requests.Session`` is not
-                documented as thread-safe.
+    limiter:    a ``RateLimiter``, shared by the backends of parallel runs
+                so that one limit covers them all; None: no limit.
+    session:    the ``requests.Session`` to post through; by default the
+                backend opens its own on its first request.
     """
 
     def __init__(
         self,
         base_url: str,
         dialect: str = "openai",
-        requests_per_minute: float | None = None,
+        limiter: RateLimiter | None = None,
         session: requests.Session | None = None,
         sleeper=time.sleep,
     ) -> None:
@@ -202,20 +202,9 @@ class HttpBackend:
             raise ValueError(f"unknown dialect {dialect!r}")
         self.base_url = base_url.rstrip("/")
         self.dialect = dialect
-        self._shared_session = session
-        self._thread = threading.local()
+        self._limiter = limiter if limiter is not None else RateLimiter(None)
+        self._session = session
         self._sleeper = sleeper
-        self._limiter = RateLimiter(requests_per_minute, sleeper=sleeper)
-
-    @property
-    def _session(self) -> requests.Session:
-        if self._shared_session is not None:
-            return self._shared_session
-        if not hasattr(self._thread, "session"):
-            import requests
-
-            self._thread.session = requests.Session()
-        return self._thread.session
 
     # -- wire formats -------------------------------------------------------
 
@@ -270,6 +259,8 @@ class HttpBackend:
     def complete(self, request: ChatRequest) -> ChatResponse:
         import requests
 
+        if self._session is None:
+            self._session = requests.Session()
         payload = self._payload(request)
         url = self._endpoint()
         last_error: TransportError | None = None

@@ -539,6 +539,8 @@ class TestFixtures:
 _RUN = ["run", "--optimizer", "do-nothing", "--out", "{tmp}/r"]
 _GENERATE = ["trials", "generate", "--seed", "1"]
 _LLM_RUN = ["run", "--optimizer", "llm", "--model", "m", "--out", "{tmp}/r"]
+# a short suite, so that a flag check that lets the run go ends soon
+_FOREIGN = ["run", "--budget", "2", "--seeds", "1", "--out", "{tmp}/r", "--optimizer"]
 
 
 def _fixture_with(value, *path) -> str:
@@ -813,6 +815,19 @@ class TestCLI:
         ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"],
          {"t.yaml": _fixture_with("abc", "target_mm", "mu_x")},
          r"^--trials-fixture: trial-001: target: could not convert string to float: 'abc'$"),
+        ([*_FOREIGN, "es", "--script", "{tmp}/absent.json"], {},
+         r"^--script: only --optimizer llm reads it$"),
+        ([*_FOREIGN, "bo", "--policy", "nosuch:x"], {},
+         r"^--policy: only --optimizer rlo reads it$"),
+        ([*_FOREIGN, "random", "--model", "m"], {}, r"^--model: only --optimizer llm reads it$"),
+        ([*_FOREIGN, "do-nothing", "--prompt", "tuning"], {},
+         r"^--prompt: only --optimizer llm reads it$"),
+        ([*_FOREIGN, "rlo", "--policy", "test_optimizers:_example_policy", "--backend", "ollama"],
+         {}, r"^--backend: only --optimizer llm reads it$"),
+        ([*_FOREIGN, "llm", "--model", "m", "--script", "{tmp}/s.json", "--policy", "nosuch:x"],
+         {"s.json": json.dumps([VALID_RESPONSE])}, r"^--policy: only --optimizer rlo reads it$"),
+        ([*_GENERATE, "--out", "{tmp}/missing/x.yaml"], {},
+         r"^--out: \[Errno 2\] No such file or directory: '.*x\.yaml'$"),
     ], ids=[
         "config-missing", "config-not-yaml", "run-lattice", "generate-lattice",
         "run-trial-generator", "generate-trial-generator", "workers-word", "workers-float",
@@ -830,6 +845,8 @@ class TestCLI:
         "openai-base-url-null", "openai-base-url-int", "openai-rpm-negative", "openai-rpm-word",
         "openai-dialect", "backend-not-a-dialect", "generate-config-budget-0",
         "fixture-cov-ragged", "fixture-target-word",
+        "es-script", "bo-policy", "random-model", "do-nothing-prompt", "rlo-backend",
+        "llm-policy", "generate-out-missing-dir",
     ])
     def test_malformed_input_exits_with_one_line(self, tmp_path, argv, files, message):
         for name, text in files.items():
@@ -927,6 +944,25 @@ class TestCLI:
         assert isinstance(exit_info.value.code, str)  # exits with status 1
         assert "\n" not in exit_info.value.code
         assert built == []
+
+    def test_http_runs_get_their_own_backend_and_share_one_limiter(self, tmp_path):
+        import beamtune.harness.cli as cli
+
+        config = tmp_path / "config.yaml"
+        config.write_text(
+            'llm: {backends: {ollama: {base_url: "http://127.0.0.1:9", requests_per_minute: 30}}}\n'
+        )
+        args = cli.build_parser().parse_args([
+            "run", "--optimizer", "llm", "--model", "m", "--backend", "ollama",
+            "--config", str(config), "--out", str(tmp_path / "r"),
+        ])
+        factory, _ = cli._optimizer_factory(args, cli._load_config(args), 2)
+        trial = make_trial(1)
+        first, second = (factory(trial, seed).backend for seed in (0, 1))
+        assert isinstance(first, HttpBackend) and first is not second
+        assert (first.base_url, first.dialect) == ("http://127.0.0.1:9", "ollama")
+        assert first._limiter is second._limiter and first._limiter.rate == 0.5
+        assert first._session is None and second._session is None  # each opens its own
 
     def test_rlo_without_policy_exits_with_error(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,14 +1,20 @@
 """Backend tests: wire formats against a local HTTP server, retry and
-rate-limit behaviour, scripted playback, request validation."""
+rate-limit behaviour, parallel runs over one limiter, scripted playback,
+request validation."""
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from beamtune.fixtures import canonical_trials
+from beamtune.harness import LLMOptimizer, evaluate
+from beamtune.harness.report import summary_document
 from beamtune.llm import (
     AuthenticationError,
     ChatRequest,
@@ -29,10 +35,11 @@ class _Script:
 
     def __init__(self):
         self.actions = []  # list of ("ok", text) | ("status", code) | ("garbage",)
+        self.fallback = ("ok", "fallback")  # once the actions run out
         self.seen = []     # recorded request payloads and headers
 
     def next_action(self):
-        return self.actions.pop(0) if self.actions else ("ok", "fallback")
+        return self.actions.pop(0) if self.actions else self.fallback
 
 
 def _make_handler(script: _Script):
@@ -83,6 +90,7 @@ def server():
     thread.start()
     yield script, f"http://127.0.0.1:{httpd.server_port}"
     httpd.shutdown()
+    httpd.server_close()
 
 
 def _request(**overrides) -> ChatRequest:
@@ -91,35 +99,51 @@ def _request(**overrides) -> ChatRequest:
     return ChatRequest(**values)
 
 
-class TestThreads:
-    def test_one_session_per_thread_and_one_limiter(self, server):
+VALID_BLOCK = '```json\n{"Q1": 1.0, "Q2": -1.0, "CV": 0.5, "Q3": 2.0, "CH": -0.5}\n```'
+
+
+class _CountingLimiter(RateLimiter):
+    """No limit; records the thread of every acquire."""
+
+    def __init__(self):
+        super().__init__(None)
+        self.acquires = []
+
+    def acquire(self) -> None:
+        self.acquires.append(threading.get_ident())
+        super().acquire()
+
+
+class TestParallelRuns:
+    def test_runs_share_one_limiter_and_no_session(self, server):
         script, url = server
-        backend = HttpBackend(url, requests_per_minute=6000)
-        sessions, limiters = [], []
+        script.fallback = ("ok", VALID_BLOCK)
+        trials, n_seeds, budget = canonical_trials()[:2], 2, 3
+        documents = []
+        for workers in (1, 2):
+            limiter = _CountingLimiter()
+            backends = []
 
-        def worker():
-            chat(backend, _request())
-            sessions.append(backend._session)
-            limiters.append(backend._limiter)
+            def factory(trial, seed):
+                backends.append(HttpBackend(url, limiter=limiter))
+                return LLMOptimizer(backends[-1], "test-model", "optimisation", trial.target,
+                                    temperature=0.0)
 
-        threads = [threading.Thread(target=worker) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-            assert not thread.is_alive()
-        assert len(script.seen) == 2
-        assert len(sessions) == 2 and sessions[0] is not sessions[1]
-        assert limiters[0] is limiters[1]
-
-    def test_injected_session_is_shared(self):
-        shared = object()
-        backend = HttpBackend("http://127.0.0.1:9", session=shared)
-        seen = []
-        thread = threading.Thread(target=lambda: seen.append(backend._session))
-        thread.start()
-        thread.join(timeout=30)
-        assert seen == [shared] and backend._session is shared
+            summary = evaluate(trials, factory, "llm-http", n_seeds=n_seeds, budget=budget,
+                               workers=workers)
+            documents.append(summary_document(summary))
+            runs = len(trials) * n_seeds
+            assert [record.model_calls for record in summary.records] == [budget] * runs
+            assert len(limiter.acquires) == runs * budget
+            # one worker runs in this thread, a pool only in its own
+            in_this_thread = {ident == threading.get_ident() for ident in limiter.acquires}
+            assert in_this_thread == {workers == 1}
+            assert len(backends) == runs
+            assert all(backend._limiter is limiter for backend in backends)
+            sessions = [backend._session for backend in backends]
+            assert None not in sessions and len({id(s) for s in sessions}) == runs
+        assert len(script.seen) == 2 * runs * budget
+        assert documents[0] == documents[1]
 
 
 class TestOpenAIDialect:
@@ -284,8 +308,6 @@ class TestRateLimiter:
         expected = r"^requests_per_minute must be None or a finite value > 0, got "
         with pytest.raises(ValueError, match=expected):
             RateLimiter(rate)
-        with pytest.raises(ValueError, match=expected):
-            HttpBackend("http://127.0.0.1:1", requests_per_minute=rate)
 
     def test_no_limit_never_sleeps(self):
         calls = []
@@ -308,3 +330,38 @@ class TestRateLimiter:
         # 60 tokens in the bucket, the 61st call must wait ~1 second
         assert len(sleeps) == 1
         assert sleeps[0] == pytest.approx(1.0, rel=0.01)
+
+    def test_threads_share_one_bucket(self):
+        # the backends of parallel runs draw on one limiter: a token lost
+        # to a race between threads would show as a missing sleep
+        clock = [0.0]
+        sleeps = []
+
+        def sleeper(duration):
+            sleeps.append(duration)
+            clock[0] += duration
+            time.sleep(0)  # let another thread in, as a real wait would
+
+        limiter = RateLimiter(60, clock=lambda: clock[0], sleeper=sleeper)
+        n_threads, calls = 8, 1000
+        start = threading.Barrier(n_threads)
+
+        def worker():
+            start.wait(timeout=30)
+            for _ in range(calls):
+                limiter.acquire()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        # the clock moves only by the sleeps: 60 tokens, then one second per call
+        assert len(sleeps) == n_threads * calls - 60
+        assert clock[0] == pytest.approx(len(sleeps))
