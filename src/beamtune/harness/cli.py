@@ -37,7 +37,7 @@ from ..optimizers import (
 from ..prompts import PROMPT_KINDS
 from ..task import Trial, make_trial, trials_from_document, trials_to_document
 from .episode import LLMOptimizer
-from .metrics import evaluate
+from .metrics import evaluate, suite_figures
 from .report import regenerate_csv, write_outputs
 
 # Every optimizer but llm: its constructor, which takes the config section
@@ -50,11 +50,16 @@ OPTIMIZERS = {
     "rlo": (ReinforcementPolicyOptimizer, ("policy",)),
 }
 
-# The run flags that only one optimizer reads, by their argparse names.
-OWN_FLAGS = {
-    "llm": ("model", "prompt", "backend", "script", "script_on_exhaust"),
-    "rlo": ("policy",),
-}
+# The run flags that only one choice reads, by their argparse names: the
+# choice as the user makes it, whether the arguments make it, and its flags.
+# The optimizers come first, so a flag of another optimizer is named as such.
+OWN_FLAGS = (
+    ("--optimizer llm", lambda args: args.optimizer == "llm",
+     ("model", "prompt", "backend", "script", "script_on_exhaust")),
+    ("--optimizer rlo", lambda args: args.optimizer == "rlo", ("policy",)),
+    ("--script", lambda args: args.script is not None, ("script_on_exhaust",)),
+    ("a run without --script", lambda args: args.script is None, ("backend",)),
+)
 
 
 @contextmanager
@@ -159,12 +164,12 @@ def _optimizer_factory(args, config: Config, budget: int):
 
 
 def _reject_foreign_flags(args) -> None:
-    """Exit if a flag that only another optimizer reads was given."""
-    for owner, names in OWN_FLAGS.items():
+    """Exit if a flag that only another optimizer or llm backend reads was given."""
+    for owner, chosen, names in OWN_FLAGS:
         for name in names:
-            if owner != args.optimizer and getattr(args, name) is not None:
+            if not chosen(args) and getattr(args, name) is not None:
                 flag = "--" + name.replace("_", "-")
-                raise SystemExit(f"{flag}: only --optimizer {owner} reads it")
+                raise SystemExit(f"{flag}: only {owner} reads it")
 
 
 def _cmd_run(args) -> int:
@@ -190,10 +195,11 @@ def _cmd_run(args) -> int:
         workers=harness_options["workers"],
     )
     paths = write_outputs([summary], args.out)
-    improvement = summary.aggregates["normalized_improvement_pct"]
-    print(f"{optimizer_id}: {summary.successes}/{summary.total_runs} successful runs")
-    if improvement[0] is not None:
-        print(f"mean normalised improvement: {improvement[0]:.1f}%")
+    figures = suite_figures(summary)
+    improvement = figures["aggregates"]["normalized_improvement_pct"]["mean"]
+    print(f"{optimizer_id}: {figures['successes']}/{len(summary.records)} successful runs")
+    if improvement is not None:
+        print(f"mean normalised improvement: {improvement:.1f}%")
     print(f"wrote {paths['summary_json']}")
     return 0
 
@@ -236,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="evaluate one optimizer on the trial suite")
     run.add_argument("--config", default=None, help="YAML config overriding the defaults")
     run.add_argument("--optimizer", required=True, choices=(*OPTIMIZERS, "llm"))
-    # OWN_FLAGS default to None, so a flag given to another optimizer shows;
+    # OWN_FLAGS default to None, so a flag given to another choice shows;
     # the llm factory supplies the defaults the help names
     run.add_argument("--prompt", default=None, choices=PROMPT_KINDS,
                      help="prompt kind for the llm optimizer (default: optimisation)")

@@ -119,18 +119,6 @@ class LLMOptimizer:
         self.system_prompt = system_prompt
         self.second_chance_feedback = second_chance_feedback
 
-    def _call(self, prompt: str) -> tuple[str | None, float]:
-        request = ChatRequest(
-            model=self.model,
-            user_message=prompt,
-            system_prompt=self.system_prompt,
-            temperature=self.temperature,
-            timeout=self.timeout,
-        )
-        started = time.perf_counter()
-        response = chat(self.backend, request)
-        return response.text, time.perf_counter() - started
-
     def propose_with_attempts(
         self, history: Sequence[Sample]
     ) -> tuple[MagnetSettings | None, list[Attempt], str | None]:
@@ -143,11 +131,20 @@ class LLMOptimizer:
         prompt = render(self.prompt_kind, self.target, history, window=self.window)
         attempts: list[Attempt] = []
         for attempt_index in (1, 2):
+            request = ChatRequest(
+                model=self.model,
+                user_message=prompt,
+                system_prompt=self.system_prompt,
+                temperature=self.temperature,
+                timeout=self.timeout,
+            )
+            started = time.perf_counter()  # a failed call's retries and backoff count too
             try:
-                text, latency = self._call(prompt)
+                text = chat(self.backend, request).text
             except TransportError as exc:
-                text, latency, reason = None, 0.0, type(exc).__name__
-            else:
+                text, reason = None, type(exc).__name__
+            latency = time.perf_counter() - started
+            if text is not None:
                 outcome = parse(text)
                 reason = outcome.reason if isinstance(outcome, ParseFailure) else None
             attempts.append(Attempt(step, attempt_index, prompt, text, reason, latency))

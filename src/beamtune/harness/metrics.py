@@ -30,15 +30,25 @@ from ..task import Trial
 from .episode import RunRecord, run_episode
 
 __all__ = [
+    "AGGREGATE_KEYS",
     "RUN_SUCCESS_THRESHOLD_MM",
     "RunMetrics",
     "SuiteSummary",
     "compute_metrics",
     "evaluate",
+    "suite_figures",
     "summarize",
 ]
 
 RUN_SUCCESS_THRESHOLD_MM = 0.040  # 40 um
+
+# The RunMetrics fields whose mean and std over the suite are reported.
+AGGREGATE_KEYS = (
+    "final_beam_difference_um",
+    "normalized_improvement_pct",
+    "normalized_integrated_mae_pct",
+    "successful_steps",
+)
 
 
 @dataclass(frozen=True)
@@ -80,69 +90,54 @@ def compute_metrics(record: RunRecord) -> RunMetrics:
     )
 
 
-def _mean_std(values: Sequence[float]) -> tuple[float | None, float | None]:
+def _mean_std(values: Sequence[float]) -> dict[str, float | None]:
     if not values:
-        return None, None
+        return {"mean": None, "std": None}
     mean = math.fsum(values) / len(values)
     if len(values) == 1:
-        return mean, 0.0
+        return {"mean": mean, "std": 0.0}
     var = math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
-    return mean, math.sqrt(var)
+    return {"mean": mean, "std": math.sqrt(var)}
 
 
 @dataclass
 class SuiteSummary:
-    """Aggregated evaluation of one optimizer over the whole suite."""
+    """One optimizer's runs over the whole suite, each with its metrics."""
 
     optimizer_id: str
     records: list[RunRecord]
     metrics: list[RunMetrics]
-    aggregates: dict[str, tuple[float | None, float | None]]
-    successes: int
-    successes_per_trial: dict[str, tuple[int, int]]  # trial_id -> (ok, total)
-    outright_success: bool
-    partial_success: bool
-    single_trial_success: bool
-
-    @property
-    def total_runs(self) -> int:
-        return len(self.records)
 
 
 def summarize(optimizer_id: str, records: Sequence[RunRecord]) -> SuiteSummary:
-    metrics = [compute_metrics(record) for record in records]
+    return SuiteSummary(optimizer_id, list(records), [compute_metrics(r) for r in records])
 
+
+def suite_figures(summary: SuiteSummary) -> dict:
+    """The suite's aggregates, success counts and tiers, as summary.json stores them."""
     aggregates = {}
-    for key in (
-        "final_beam_difference_um",
-        "normalized_improvement_pct",
-        "normalized_integrated_mae_pct",
-        "successful_steps",
-    ):
-        values = [
-            float(getattr(m, key)) for m in metrics if getattr(m, key) is not None
-        ]
-        aggregates[key] = _mean_std(values)
+    for key in AGGREGATE_KEYS:
+        values = [getattr(m, key) for m in summary.metrics]
+        aggregates[key] = _mean_std([float(v) for v in values if v is not None])
 
-    per_trial: dict[str, tuple[int, int]] = {}
-    for record, metric in zip(records, metrics):
-        ok, total = per_trial.get(record.trial_id, (0, 0))
-        per_trial[record.trial_id] = (ok + int(metric.run_success), total + 1)
+    per_trial: dict[str, dict[str, int]] = {}
+    for record, metric in zip(summary.records, summary.metrics):
+        counts = per_trial.setdefault(record.trial_id, {"successful": 0, "total": 0})
+        counts["successful"] += metric.run_success
+        counts["total"] += 1
 
-    successes = sum(int(m.run_success) for m in metrics)
-    total = len(records)
-    partial_threshold = math.ceil(2 * total / 3)  # 6 of 9 on the canonical suite
-    return SuiteSummary(
-        optimizer_id=optimizer_id,
-        records=list(records),
-        metrics=metrics,
-        aggregates=aggregates,
-        successes=successes,
-        successes_per_trial=per_trial,
-        outright_success=total > 0 and successes == total,
-        partial_success=successes >= partial_threshold > 0,
-        single_trial_success=any(ok == n and n > 0 for ok, n in per_trial.values()),
-    )
+    successes = sum(m.run_success for m in summary.metrics)
+    total = len(summary.records)
+    return {
+        "aggregates": aggregates,
+        "successes": successes,
+        "successes_per_trial": per_trial,
+        "success_tiers": {
+            "outright": successes == total > 0,
+            "partial": successes >= math.ceil(2 * total / 3) > 0,  # 6 of 9 on the canonical suite
+            "single_trial": any(c["successful"] == c["total"] for c in per_trial.values()),
+        },
+    }
 
 
 def evaluate(

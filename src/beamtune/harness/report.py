@@ -16,25 +16,24 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .episode import RunRecord
-from .metrics import RunMetrics, SuiteSummary
+from .metrics import AGGREGATE_KEYS, RunMetrics, SuiteSummary, suite_figures
 
 __all__ = ["SUMMARY_SCHEMA", "load_summary", "render_csv", "summary_document", "write_outputs"]
 
 SUMMARY_SCHEMA = "beamtune/summary/v1"
 
-# CSV column stem -> aggregate key in summary.json
-_AGGREGATE_KEYS = {
-    "final_beam_difference_um": "final_beam_difference_um",
-    "normalised_beam_improvement_pct": "normalized_improvement_pct",
-    "normalised_integrated_mae_pct": "normalized_integrated_mae_pct",
-    "successful_steps": "successful_steps",
+# The CSV column stem of each aggregate key, where the table's name differs
+_CSV_RENAMED = {
+    "normalized_improvement_pct": "normalised_beam_improvement_pct",
+    "normalized_integrated_mae_pct": "normalised_integrated_mae_pct",
 }
 
 _CSV_COLUMNS = [
     "optimizer",
     "runs",
     "successes",
-    *(f"{key}_{stat}" for key in _AGGREGATE_KEYS for stat in ("mean", "std")),
+    *(f"{_CSV_RENAMED.get(key, key)}_{stat}"
+      for key in AGGREGATE_KEYS for stat in ("mean", "std")),
     "outright_success",
     "partial_success",
     "single_trial_success",
@@ -64,20 +63,7 @@ def summary_document(summary: SuiteSummary) -> dict:
             _run_entry(record, metric)
             for record, metric in zip(summary.records, summary.metrics)
         ],
-        "aggregates": {
-            key: {"mean": mean, "std": std}
-            for key, (mean, std) in summary.aggregates.items()
-        },
-        "successes": summary.successes,
-        "successes_per_trial": {
-            trial: {"successful": ok, "total": total}
-            for trial, (ok, total) in sorted(summary.successes_per_trial.items())
-        },
-        "success_tiers": {
-            "outright": summary.outright_success,
-            "partial": summary.partial_success,
-            "single_trial": summary.single_trial_success,
-        },
+        **suite_figures(summary),
     }
 
 
@@ -101,10 +87,10 @@ def render_csv(documents: list[dict]) -> str:
             str(len(doc["runs"])),
             str(doc["successes"]),
         ]
-        for column_key, agg_key in _AGGREGATE_KEYS.items():
-            stats = aggregates[agg_key]
+        for key in AGGREGATE_KEYS:
+            stats = aggregates[key]
             # Successful steps are only meaningful for LLM loops.
-            if column_key == "successful_steps" and not doc["llm_loop"]:
+            if key == "successful_steps" and not doc["llm_loop"]:
                 row += ["-", "-"]
             else:
                 row += [_format_cell(stats["mean"]), _format_cell(stats["std"])]
@@ -173,6 +159,7 @@ def write_outputs(summaries: list[SuiteSummary], out_dir: str | Path) -> dict[st
 
 
 def _sanitize(name: str) -> str:
+    # trial ids keep to these characters (trials_from_document); a model name may not
     return "".join(c if c.isalnum() or c in "._-" else "-" for c in name)
 
 

@@ -380,7 +380,13 @@ def trials_from_document(doc: dict) -> list[Trial]:
     trials = [trial_from_dict(d) for d in doc["trials"]]
     if not trials:
         raise ValueError("a trial fixture needs at least one trial, got none")
-    for index, trial in enumerate(trials):  # a duplicate's runs would overwrite the first's
+    # transcripts are named after the trial id, so another trial's runs would
+    # overwrite the first's if two ids named the same file
+    for index, trial in enumerate(trials):
+        if not all(c.isalnum() or c in "._-" for c in trial.trial_id):
+            raise ValueError(
+                f"trial_id {trial.trial_id!r} may hold only letters, digits, '.', '_' and '-'"
+            )
         if trial.trial_id in (earlier.trial_id for earlier in trials[:index]):
             raise ValueError(f"duplicate trial_id {trial.trial_id!r}")
     return trials

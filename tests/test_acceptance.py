@@ -33,7 +33,14 @@ import numpy as np
 import pytest
 
 from beamtune.fixtures import canonical_trials
-from beamtune.harness import LLMOptimizer, compute_metrics, evaluate, run_episode, summarize
+from beamtune.harness import (
+    LLMOptimizer,
+    compute_metrics,
+    evaluate,
+    run_episode,
+    suite_figures,
+    summarize,
+)
 from beamtune.harness.report import summary_document
 from beamtune.llm import ScriptedBackend
 from beamtune.optics import BeamParameters, Lattice, TransverseState, quad_blocks, track
@@ -63,12 +70,13 @@ def test_criterion_1_do_nothing_table_rows():
 
     improvements = [m.normalized_improvement_pct for m in summary.metrics]
     integrated = [m.normalized_integrated_mae_pct for m in summary.metrics]
+    aggregates = suite_figures(summary)["aggregates"]
     exact = (
-        summary.total_runs == 9
+        len(summary.records) == 9
         and all(v == 0.0 for v in improvements)
         and all(v == 100.0 for v in integrated)
-        and summary.aggregates["normalized_improvement_pct"] == (0.0, 0.0)
-        and summary.aggregates["normalized_integrated_mae_pct"] == (100.0, 0.0)
+        and aggregates["normalized_improvement_pct"] == {"mean": 0.0, "std": 0.0}
+        and aggregates["normalized_integrated_mae_pct"] == {"mean": 100.0, "std": 0.0}
     )
     report(
         1,
@@ -210,25 +218,26 @@ def test_criterion_6_baseline_competence():
     trials = canonical_trials()
     started = time.perf_counter()
 
-    bo = evaluate(trials, lambda t, s: BayesianOptimizer(seed=s), "bo")
-    es = evaluate(trials, lambda t, s: ExtremumSeeking(seed=s), "es")
-    rs = evaluate(trials, lambda t, s: RandomSearch(seed=s), "random")
+    bo = suite_figures(evaluate(trials, lambda t, s: BayesianOptimizer(seed=s), "bo"))
+    es = suite_figures(evaluate(trials, lambda t, s: ExtremumSeeking(seed=s), "es"))
+    rs = suite_figures(evaluate(trials, lambda t, s: RandomSearch(seed=s), "random"))
     elapsed = time.perf_counter() - started
 
-    bo_mean_improvement = bo.aggregates["normalized_improvement_pct"][0]
-    es_mean_improvement = es.aggregates["normalized_improvement_pct"][0]
-    bo_final = bo.aggregates["final_beam_difference_um"][0]
-    rs_final = rs.aggregates["final_beam_difference_um"][0]
+    bo_mean_improvement = bo["aggregates"]["normalized_improvement_pct"]["mean"]
+    es_mean_improvement = es["aggregates"]["normalized_improvement_pct"]["mean"]
+    bo_final = bo["aggregates"]["final_beam_difference_um"]["mean"]
+    rs_final = rs["aggregates"]["final_beam_difference_um"]["mean"]
 
-    bo_ok = bo.successes == 9 and bo.outright_success and bo_mean_improvement <= -70.0
-    es_ok = es.successes >= 7 and es_mean_improvement <= -40.0
+    bo_ok = (bo["successes"] == 9 and bo["success_tiers"]["outright"]
+             and bo_mean_improvement <= -70.0)
+    es_ok = es["successes"] >= 7 and es_mean_improvement <= -40.0
     rs_ok = rs_final >= bo_final
 
     report(
         6,
         bo_ok and es_ok and rs_ok and elapsed < 600.0,
-        f"BO {bo.successes}/9 mean improvement {bo_mean_improvement:.1f}% (<= -70), "
-        f"ES {es.successes}/9 mean {es_mean_improvement:.1f}% (<= -40), "
+        f"BO {bo['successes']}/9 mean improvement {bo_mean_improvement:.1f}% (<= -70), "
+        f"ES {es['successes']}/9 mean {es_mean_improvement:.1f}% (<= -40), "
         f"random final MAE {rs_final:.0f} um >= BO {bo_final:.0f} um, "
         f"total {elapsed:.0f} s (< 600)",
     )
@@ -311,7 +320,7 @@ def test_criterion_8_success_tiers():
         for t, count in enumerate(success_counts):
             for seed in range(3):
                 records.append(_record_with_success(f"trial-{t}", seed, seed < count))
-        return summarize("constructed", records)
+        return suite_figures(summarize("constructed", records))["success_tiers"]
 
     outright = suite([3, 3, 3])
     partial = suite([3, 3, 0])
@@ -319,17 +328,17 @@ def test_criterion_8_success_tiers():
     nothing = suite([2, 2, 1])  # five successes, no trial fully solved
 
     checks = (
-        outright.outright_success
-        and outright.partial_success
-        and outright.single_trial_success
-        and not partial.outright_success
-        and partial.partial_success
-        and partial.single_trial_success
-        and not single.partial_success
-        and single.single_trial_success
-        and not nothing.outright_success
-        and not nothing.partial_success
-        and not nothing.single_trial_success
+        outright["outright"]
+        and outright["partial"]
+        and outright["single_trial"]
+        and not partial["outright"]
+        and partial["partial"]
+        and partial["single_trial"]
+        and not single["partial"]
+        and single["single_trial"]
+        and not nothing["outright"]
+        and not nothing["partial"]
+        and not nothing["single_trial"]
     )
     report(
         8,

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,12 +23,13 @@ from beamtune.harness import (
     compute_metrics,
     evaluate,
     run_episode,
+    suite_figures,
     summarize,
     write_outputs,
 )
 from beamtune.harness.cli import main as cli_main
 from beamtune.harness.report import load_summary, regenerate_csv, render_csv, summary_document
-from beamtune.llm import HttpBackend, ScriptedBackend
+from beamtune.llm import HttpBackend, ScriptedBackend, TransportError
 from beamtune.optics import BeamParameters
 from beamtune.optimizers import BayesianOptimizer, DoNothing, ExtremumSeeking, RandomSearch
 from beamtune.task import MagnetSettings, Sample, make_trial, trials_to_document
@@ -273,8 +275,8 @@ class TestMetrics:
         metrics = compute_metrics(record)
         assert metrics.normalization_undefined is True
         assert metrics.normalized_improvement_pct is None
-        summary = summarize("x", [record])
-        assert summary.aggregates["normalized_improvement_pct"] == (None, None)
+        aggregates = suite_figures(summarize("x", [record]))["aggregates"]
+        assert aggregates["normalized_improvement_pct"] == {"mean": None, "std": None}
 
 
 def _record_with_success(trial_id: str, seed: int, success: bool) -> RunRecord:
@@ -289,26 +291,26 @@ def _record_with_success(trial_id: str, seed: int, success: bool) -> RunRecord:
     )
 
 
-def tiered_summary(successes: list[int]):
-    """successes[i] in {0..3} per trial; builds a 3x3 suite."""
+def tiered_figures(successes: list[int]) -> dict:
+    """successes[i] in {0..3} per trial; the figures of a 3x3 suite."""
     records = []
     for t, count in enumerate(successes):
         for seed in range(3):
             records.append(_record_with_success(f"trial-{t}", seed, seed < count))
-    return summarize("fake", records)
+    return suite_figures(summarize("fake", records))
 
 
 class TestSuccessTiers:
     def test_outright(self):
-        summary = tiered_summary([3, 3, 3])
-        assert summary.outright_success and summary.partial_success
-        assert summary.single_trial_success
+        tiers = tiered_figures([3, 3, 3])["success_tiers"]
+        assert tiers["outright"] and tiers["partial"]
+        assert tiers["single_trial"]
 
     def test_partial_six_of_nine(self):
-        summary = tiered_summary([3, 3, 0])
-        assert not summary.outright_success
-        assert summary.partial_success
-        assert summary.single_trial_success
+        tiers = tiered_figures([3, 3, 0])["success_tiers"]
+        assert not tiers["outright"]
+        assert tiers["partial"]
+        assert tiers["single_trial"]
 
     def test_partial_pattern_from_mixed_trials(self):
         # successes on runs (1,1,1) (0,0,0) (1,1,1) -> 6/9 partial,
@@ -318,40 +320,43 @@ class TestSuccessTiers:
         for trial_id, flags in pattern.items():
             for seed, flag in enumerate(flags):
                 records.append(_record_with_success(trial_id, seed, bool(flag)))
-        summary = summarize("fake", records)
-        assert summary.successes == 6
-        assert summary.partial_success and not summary.outright_success
-        assert summary.single_trial_success
+        figures = suite_figures(summarize("fake", records))
+        tiers = figures["success_tiers"]
+        assert figures["successes"] == 6
+        assert tiers["partial"] and not tiers["outright"]
+        assert tiers["single_trial"]
 
     def test_five_of_nine_is_not_partial(self):
-        summary = tiered_summary([3, 2, 0])
-        assert not summary.partial_success
-        assert summary.single_trial_success
+        tiers = tiered_figures([3, 2, 0])["success_tiers"]
+        assert not tiers["partial"]
+        assert tiers["single_trial"]
 
     def test_single_trial_only(self):
-        summary = tiered_summary([3, 0, 0])
-        assert not summary.partial_success
-        assert summary.single_trial_success
+        tiers = tiered_figures([3, 0, 0])["success_tiers"]
+        assert not tiers["partial"]
+        assert tiers["single_trial"]
 
     def test_nothing(self):
-        summary = tiered_summary([2, 2, 1])
-        assert not summary.outright_success
-        assert not summary.partial_success
-        assert not summary.single_trial_success
+        tiers = tiered_figures([2, 2, 1])["success_tiers"]
+        assert not tiers["outright"]
+        assert not tiers["partial"]
+        assert not tiers["single_trial"]
 
 
 class TestEvaluateAndReport:
     def test_do_nothing_suite_tiers_all_false(self):
         trials = canonical_trials()
         summary = evaluate(trials, lambda t, s: DoNothing(), "do-nothing")
-        assert summary.total_runs == 9
-        assert summary.successes == 0
-        assert not summary.outright_success
-        assert not summary.partial_success
-        assert not summary.single_trial_success
+        figures = suite_figures(summary)
+        tiers = figures["success_tiers"]
+        assert len(summary.records) == 9
+        assert figures["successes"] == 0
+        assert not tiers["outright"]
+        assert not tiers["partial"]
+        assert not tiers["single_trial"]
         # untuned final beam difference sits at the mm scale, as expected
         # for random initial settings on this task
-        mean_final_um = summary.aggregates["final_beam_difference_um"][0]
+        mean_final_um = figures["aggregates"]["final_beam_difference_um"]["mean"]
         assert 500.0 < mean_final_um < 10000.0
 
     def test_parallel_equals_serial(self):
@@ -430,18 +435,20 @@ class TestEvaluateAndReport:
         # criterion 6's ES thresholds, with 20 um screen-position noise
         summary = evaluate(canonical_trials(), lambda t, s: ExtremumSeeking(seed=s), "es",
                            noise_sigma=2e-5)
-        mean_improvement = summary.aggregates["normalized_improvement_pct"][0]
-        assert summary.total_runs == 9
-        assert summary.successes >= 7 and mean_improvement <= -40.0
+        figures = suite_figures(summary)
+        mean_improvement = figures["aggregates"]["normalized_improvement_pct"]["mean"]
+        assert len(summary.records) == 9
+        assert figures["successes"] >= 7 and mean_improvement <= -40.0
 
     @pytest.mark.slow
     def test_bo_competent_in_noise_mode(self):
         # criterion 6's BO thresholds, with 20 um screen-position noise
         summary = evaluate(canonical_trials(), lambda t, s: BayesianOptimizer(seed=s), "bo",
                            noise_sigma=2e-5)
-        mean_improvement = summary.aggregates["normalized_improvement_pct"][0]
-        assert summary.total_runs == 9
-        assert summary.successes == 9 and summary.outright_success
+        figures = suite_figures(summary)
+        mean_improvement = figures["aggregates"]["normalized_improvement_pct"]["mean"]
+        assert len(summary.records) == 9
+        assert figures["successes"] == 9 and figures["success_tiers"]["outright"]
         assert mean_improvement <= -70.0
 
     def test_suite_bit_reproducible_with_fixed_script(self):
@@ -518,6 +525,22 @@ class TestFaultInjection:
         paths = write_outputs([summary], tmp_path)
         assert load_summary(tmp_path)["optimizers"][0]["optimizer_id"] == "llm-fake"
         assert len(list(paths["runs_dir"].glob("*.jsonl"))) == 3
+
+    def test_failed_call_latency_is_recorded(self, tmp_path):
+        class SlowFailingBackend:
+            def complete(self, request):
+                time.sleep(0.05)
+                raise TransportError("connection refused")
+
+        trial = make_trial(1)
+        optimizer = LLMOptimizer(SlowFailingBackend(), "m", "optimisation", trial.target)
+        summary = evaluate([trial], lambda t, s: optimizer, "llm-slow", n_seeds=1, budget=1)
+        paths = write_outputs([summary], tmp_path)
+        (transcript,) = paths["runs_dir"].glob("*.jsonl")
+        (line,) = transcript.read_text().splitlines()
+        entry = json.loads(line)
+        assert entry["failure_reason"] == "TransportError"
+        assert entry["latency_s"] >= 0.05
 
 
 # sha256 of the canonical suite's fixture document, serialised as sorted JSON
@@ -826,6 +849,16 @@ class TestCLI:
          {}, r"^--backend: only --optimizer llm reads it$"),
         ([*_FOREIGN, "llm", "--model", "m", "--script", "{tmp}/s.json", "--policy", "nosuch:x"],
          {"s.json": json.dumps([VALID_RESPONSE])}, r"^--policy: only --optimizer rlo reads it$"),
+        # an HTTP run to a closed port, so that a run the check lets go ends soon
+        ([*_FOREIGN, "llm", "--model", "m", "--script-on-exhaust", "error",
+          "--config", "{tmp}/c.yaml"],
+         {"c.yaml": 'llm: {backends: {openai: {base_url: "http://127.0.0.1:9"}}}\n'},
+         r"^--script-on-exhaust: only --script reads it$"),
+        ([*_FOREIGN, "llm", "--model", "m", "--script", "{tmp}/s.json", "--backend", "ollama"],
+         {"s.json": json.dumps([VALID_RESPONSE])},
+         r"^--backend: only a run without --script reads it$"),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"], {"t.yaml": _fixture_with("t/1", "trial_id")},
+         r"^--trials-fixture: trial_id 't/1' may hold only letters, digits, '\.', '_' and '-'$"),
         ([*_GENERATE, "--out", "{tmp}/missing/x.yaml"], {},
          r"^--out: \[Errno 2\] No such file or directory: '.*x\.yaml'$"),
     ], ids=[
@@ -846,7 +879,8 @@ class TestCLI:
         "openai-dialect", "backend-not-a-dialect", "generate-config-budget-0",
         "fixture-cov-ragged", "fixture-target-word",
         "es-script", "bo-policy", "random-model", "do-nothing-prompt", "rlo-backend",
-        "llm-policy", "generate-out-missing-dir",
+        "llm-policy", "llm-exhaust-without-script", "llm-backend-with-script",
+        "fixture-unsafe-trial-id", "generate-out-missing-dir",
     ])
     def test_malformed_input_exits_with_one_line(self, tmp_path, argv, files, message):
         for name, text in files.items():
