@@ -184,16 +184,23 @@ def _cmd_run(args) -> int:
     trials = _load_trials(args, config)
     with _reading("--out"):  # a run's results are lost if they cannot be written at its end
         (Path(args.out) / "runs").mkdir(parents=True, exist_ok=True)
-    summary = evaluate(
-        trials,
-        factory,
-        optimizer_id=optimizer_id,
-        n_seeds=n_seeds,
-        budget=budget,
-        geometry=config.geometry(),
-        noise_sigma=config.noise_sigma(),
-        workers=harness_options["workers"],
-    )
+    try:
+        summary = evaluate(
+            trials,
+            factory,
+            optimizer_id=optimizer_id,
+            n_seeds=n_seeds,
+            budget=budget,
+            geometry=config.geometry(),
+            noise_sigma=config.noise_sigma(),
+            workers=harness_options["workers"],
+        )
+    except Exception as exc:
+        if not getattr(exc, "__notes__", None):
+            raise  # not a run's failure but the harness's
+        # one line, led by the note evaluate added to name the failed run
+        message = " ".join(str(exc).split())
+        raise SystemExit(f"{exc.__notes__[-1]}: {type(exc).__name__}: {message}") from exc
     paths = write_outputs([summary], args.out)
     figures = suite_figures(summary)
     improvement = figures["aggregates"]["normalized_improvement_pct"]["mean"]

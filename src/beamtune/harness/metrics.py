@@ -156,20 +156,28 @@ def evaluate(
     must return a fresh optimizer per run. Runs are independent, so a
     worker pool may execute them in parallel without changing any result;
     records are always ordered by (trial, seed).
+
+    An exception that ends a run propagates as the same object, with the
+    note ``run <trial_id>/s<seed>`` added.
     """
     jobs = [(trial, seed) for trial in trials for seed in range(n_seeds)]
 
     def one(job: tuple[Trial, int]) -> RunRecord:
         trial, seed = job
-        optimizer = optimizer_factory(trial, seed)
-        return run_episode(
-            trial,
-            optimizer,
-            budget=budget,
-            seed=seed,
-            geometry=geometry,
-            noise_sigma=noise_sigma,
-        )
+        try:
+            optimizer = optimizer_factory(trial, seed)
+            return run_episode(
+                trial,
+                optimizer,
+                budget=budget,
+                seed=seed,
+                geometry=geometry,
+                noise_sigma=noise_sigma,
+            )
+        except Exception as exc:
+            # exc.add_note, which Python 3.10 lacks; tracebacks show notes from 3.11
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), f"run {trial.trial_id}/s{seed}"]
+            raise
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -28,15 +28,16 @@ _CSV_RENAMED = {
     "normalized_integrated_mae_pct": "normalised_integrated_mae_pct",
 }
 
+# The success_tiers keys, in column order
+_TIERS = ("outright", "partial", "single_trial")
+
 _CSV_COLUMNS = [
     "optimizer",
     "runs",
     "successes",
     *(f"{_CSV_RENAMED.get(key, key)}_{stat}"
       for key in AGGREGATE_KEYS for stat in ("mean", "std")),
-    "outright_success",
-    "partial_success",
-    "single_trial_success",
+    *(f"{tier}_success" for tier in _TIERS),
 ]
 
 
@@ -94,12 +95,7 @@ def render_csv(documents: list[dict]) -> str:
                 row += ["-", "-"]
             else:
                 row += [_format_cell(stats["mean"]), _format_cell(stats["std"])]
-        tiers = doc["success_tiers"]
-        row += [
-            _format_cell(tiers["outright"]),
-            _format_cell(tiers["partial"]),
-            _format_cell(tiers["single_trial"]),
-        ]
+        row += [_format_cell(doc["success_tiers"][tier]) for tier in _TIERS]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

@@ -64,8 +64,9 @@ __all__ = [
     "track",
 ]
 
-# Below this |k1| the quadrupole blocks are evaluated as its k -> 0 series to
-# avoid catastrophic cancellation in sin(sqrt(k) L)/sqrt(k).
+# Below this |k1| a quadrupole is evaluated as a drift of its length, the
+# k -> 0 limit of its blocks, to avoid catastrophic cancellation in
+# sin(sqrt(k) L)/sqrt(k).
 _K1_SERIES_THRESHOLD = 1e-10
 
 
@@ -217,7 +218,7 @@ class LatticeGeometry:
         L = self.quad_length
         if not math.isfinite(L) or L <= 0:
             raise OpticsError(f"invalid quadrupole length {L!r}")
-        markers = [
+        extents = [
             ("q1", self.q1, self.q1 + L),
             ("q2", self.q2, self.q2 + L),
             ("cv", self.cv, self.cv),
@@ -225,30 +226,22 @@ class LatticeGeometry:
             ("ch", self.ch, self.ch),
             ("screen", self.screen, self.screen),
         ]
+        # The order check admits an element that starts up to 1e-12 m before
+        # the previous one ends; that overlap is a drift of length zero.
+        drifts = []
         cursor = 0.0
-        for name, start, end in markers:
+        for name, start, end in extents:
             if not (math.isfinite(start) and start >= cursor - 1e-12):
                 raise OpticsError(
                     f"element order violated at {name!r}: starts at {start} before {cursor}"
                 )
+            drifts.append(max(start - cursor, 0.0))
             cursor = end
+        object.__setattr__(self, "_drift_lengths", tuple(drifts))
 
     def drift_lengths(self) -> tuple[float, ...]:
-        """Drifts between entrance, the five magnets and the screen.
-
-        The order check admits an element that starts up to 1e-12 m before
-        the previous one ends; that overlap is a drift of length zero.
-        """
-        L = self.quad_length
-        drifts = (
-            self.q1,
-            self.q2 - (self.q1 + L),
-            self.cv - (self.q2 + L),
-            self.q3 - self.cv,
-            self.ch - (self.q3 + L),
-            self.screen - self.ch,
-        )
-        return tuple(max(length, 0.0) for length in drifts)
+        """Drifts between entrance, the five magnets and the screen."""
+        return self._drift_lengths
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,13 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ..task import MagnetSettings, Sample
+from ..task import ACTUATOR_RANGES, MagnetSettings, Sample
 
 __all__ = [
     "DoNothing",
     "Optimizer",
     "RandomSearch",
     "ReinforcementPolicyOptimizer",
-    "box_bounds",
     "denormalize",
     "normalize",
 ]
@@ -25,25 +24,19 @@ class Optimizer(Protocol):
     def propose(self, history: Sequence[Sample]) -> MagnetSettings: ...
 
 
-def box_bounds() -> tuple[np.ndarray, np.ndarray]:
-    """(low, high) arrays of the actuator box in lattice order."""
-    ranges = MagnetSettings.ranges()
-    low = np.array([lo for lo, _ in ranges])
-    high = np.array([hi for _, hi in ranges])
-    return low, high
+# the actuator box as (low, high) arrays in ACTUATOR_NAMES order
+_LOW, _HIGH = np.array(ACTUATOR_RANGES).T
 
 
 def normalize(settings: MagnetSettings) -> np.ndarray:
     """Map actuator values onto [-1, 1]^5."""
-    low, high = box_bounds()
     x = np.array(settings.as_tuple())
-    return 2.0 * (x - low) / (high - low) - 1.0
+    return 2.0 * (x - _LOW) / (_HIGH - _LOW) - 1.0
 
 
 def denormalize(u: np.ndarray) -> MagnetSettings:
     """Inverse of :func:`normalize`; does not clamp."""
-    low, high = box_bounds()
-    x = low + (np.asarray(u, dtype=float) + 1.0) / 2.0 * (high - low)
+    x = _LOW + (np.asarray(u, dtype=float) + 1.0) / 2.0 * (_HIGH - _LOW)
     return MagnetSettings(*(float(v) for v in x))
 
 
@@ -61,8 +54,7 @@ class RandomSearch:
         self._rng = np.random.default_rng(seed)
 
     def propose(self, history: Sequence[Sample]) -> MagnetSettings:
-        low, high = box_bounds()
-        return MagnetSettings(*(float(v) for v in self._rng.uniform(low, high)))
+        return MagnetSettings(*(float(v) for v in self._rng.uniform(_LOW, _HIGH)))
 
 
 class ReinforcementPolicyOptimizer:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize
 
-from ..task import MagnetSettings, Sample
+from ..task import ACTUATOR_NAMES, MagnetSettings, Sample
 from .base import RandomSearch, denormalize, normalize
 from .gp import (
     GaussianProcess,
@@ -34,14 +34,14 @@ __all__ = ["BayesianOptimizer"]
 
 
 def _sobol(seed: int, n: int) -> np.ndarray:
-    """``n`` scrambled Sobol points on [-1, 1]^5."""
+    """``n`` scrambled Sobol points on the normalized actuator box."""
     # imported here: scipy.stats is about half of the CLI's import time, and
     # only BO needs it
     from scipy.stats import qmc
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # power-of-two draw sizes only
-        return qmc.Sobol(d=5, scramble=True, seed=seed).random(n) * 2.0 - 1.0
+        return qmc.Sobol(d=len(ACTUATOR_NAMES), scramble=True, seed=seed).random(n) * 2.0 - 1.0
 
 
 class BayesianOptimizer:
@@ -117,7 +117,7 @@ class BayesianOptimizer:
         best_u = candidates[order[0]]
         best_ei = float(ei[order[0]])
 
-        # all starts as one (n_refine * 5)-vector: the summed EI separates
+        # all starts as one flat vector: the summed EI separates
         # by start, so one L-BFGS-B run refines every start at once
         starts = candidates[order[: self.n_refine]]
 

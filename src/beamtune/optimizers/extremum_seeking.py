@@ -19,20 +19,20 @@ from typing import Sequence
 
 import numpy as np
 
-from ..task import MagnetSettings, Sample
+from ..task import ACTUATOR_NAMES, MagnetSettings, Sample
 from .base import denormalize, normalize
 
 __all__ = ["ExtremumSeeking", "default_frequencies"]
 
 
 def default_frequencies() -> np.ndarray:
-    """Dither frequencies w_j = 2*pi*(j + sqrt(2)*j)/50, j = 1..5, one per
-    actuator in ``ACTUATOR_NAMES`` order.
+    """Dither frequencies w_j = 2*pi*(j + sqrt(2)*j)/50, j = 1, 2, ..., one
+    per actuator in ``ACTUATOR_NAMES`` order.
 
     The denominator keeps w_max * dt below pi for unit steps, so the
     dithers are properly sampled; faster frequencies alias and stall.
     """
-    j = np.arange(1, 6, dtype=float)
+    j = np.arange(1, len(ACTUATOR_NAMES) + 1, dtype=float)
     return 2.0 * math.pi * (j + math.sqrt(2.0) * j) / 50.0
 
 

@@ -10,9 +10,11 @@ with the scalar objective
 
 in millimetres, with MAE = objective / 4.
 
-Actuators are the three quadrupole strengths in [-30, 30] 1/m^2 and the
-two corrector angles in [-6e-3, 6e-3] rad (displayed as mrad elsewhere).
-Out-of-range proposals are clamped on application and the clamp recorded.
+Actuators are the three quadrupole strengths in 1/m^2, within
+``QUAD_RANGE``, and the two corrector angles in rad, within
+``CORRECTOR_RANGE`` (displayed as mrad elsewhere); ``ACTUATOR_RANGES``
+holds the box. Out-of-range proposals are clamped on application and the
+clamp recorded.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .optics import BeamParameters, Lattice, LatticeGeometry, TransverseState, r
 
 __all__ = [
     "ACTUATOR_NAMES",
+    "ACTUATOR_RANGES",
     "QUAD_RANGE",
     "CORRECTOR_RANGE",
     "MagnetSettings",
@@ -41,6 +44,8 @@ __all__ = [
 ACTUATOR_NAMES = ("q1", "q2", "cv", "q3", "ch")
 QUAD_RANGE = (-30.0, 30.0)        # 1/m^2
 CORRECTOR_RANGE = (-6e-3, 6e-3)   # rad
+# (low, high) per actuator, in ACTUATOR_NAMES order
+ACTUATOR_RANGES = (QUAD_RANGE, QUAD_RANGE, CORRECTOR_RANGE, QUAD_RANGE, CORRECTOR_RANGE)
 
 
 @dataclass(frozen=True)
@@ -59,17 +64,12 @@ class MagnetSettings:
     def is_finite(self) -> bool:
         return all(math.isfinite(v) for v in self.as_tuple())
 
-    @staticmethod
-    def ranges() -> tuple[tuple[float, float], ...]:
-        """(low, high) per actuator in lattice order."""
-        return (QUAD_RANGE, QUAD_RANGE, CORRECTOR_RANGE, QUAD_RANGE, CORRECTOR_RANGE)
-
     def clamped(self) -> tuple["MagnetSettings", tuple[str, ...]]:
         """Clamp to the actuator box, returning the clamped field names."""
         values = self.as_tuple()
         clamped_values = []
         clamped_names = []
-        for name, value, (lo, hi) in zip(ACTUATOR_NAMES, values, self.ranges()):
+        for name, value, (lo, hi) in zip(ACTUATOR_NAMES, values, ACTUATOR_RANGES):
             v = min(max(value, lo), hi)
             if v != value:
                 clamped_names.append(name)
@@ -108,6 +108,14 @@ class Trial:
         if (mean.shape, cov.shape) != ((4,), (4, 4)):
             raise ValueError(f"{self.trial_id}: incoming mean and covariance have shapes "
                              f"{mean.shape} and {cov.shape}, expected (4,) and (4, 4)")
+        # each offset is (dx, dy): track and read_screen take two values
+        offsets = {"screen misalignment": self.screen_misalignment} | {
+            f"quad {index} misalignment": offset
+            for index, offset in enumerate(self.quad_misalignments, 1)
+        }
+        for name, offset in offsets.items():
+            if len(offset) != 2:
+                raise ValueError(f"{self.trial_id}: {name} has {len(offset)} values, expected 2")
         for name, values in (
             ("target", self.target.as_tuple()),
             ("incoming mean", mean.tolist()),
@@ -215,9 +223,7 @@ def make_trial(seed: int, config: TrialGeneratorConfig | None = None) -> Trial:
             u(cfg.incoming_sigma_slope_mrad) * 1e-3,
         ),
     )
-    initial = MagnetSettings(
-        **{name: u(lo_hi) for name, lo_hi in zip(ACTUATOR_NAMES, MagnetSettings.ranges())}
-    )
+    initial = MagnetSettings(*(u(lo_hi) for lo_hi in ACTUATOR_RANGES))
     return Trial(
         trial_id=f"trial-{seed:03d}",
         seed=seed,
@@ -331,6 +337,13 @@ def trial_to_dict(trial: Trial) -> dict:
     }
 
 
+def _integer(value) -> int:
+    """``value`` if it is an int; a bool or a float is not a seed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
+
+
 def trial_from_dict(data: dict) -> Trial:
     trial_id = str(data["trial_id"])
 
@@ -346,7 +359,7 @@ def trial_from_dict(data: dict) -> Trial:
     init = data["initial_settings"]
     return Trial(
         trial_id=trial_id,
-        seed=read("seed", lambda: int(data["seed"])),
+        seed=read("seed", lambda: _integer(data["seed"])),
         target=read("target", lambda: BeamParameters(
             **{field.name: float(target[field.name]) for field in fields(BeamParameters)}
         )),

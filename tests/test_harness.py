@@ -367,6 +367,24 @@ class TestEvaluateAndReport:
                             n_seeds=2, budget=5, workers=4)
         assert summary_document(serial) == summary_document(parallel)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_run_raises_its_own_exception_naming_the_run(self, workers):
+        # the same object, so a caller that catches its type still catches it
+        raised = []
+
+        class Failing:
+            def propose(self, history):
+                raised.append(LookupError("no settings"))
+                raise raised[-1]
+
+        def factory(trial, seed):
+            return Failing() if (trial.trial_id, seed) == ("trial-002", 1) else DoNothing()
+
+        with pytest.raises(LookupError) as exc_info:
+            evaluate(canonical_trials(), factory, "failing", n_seeds=2, budget=2, workers=workers)
+        assert exc_info.value is raised[0]
+        assert exc_info.value.__notes__ == ["run trial-002/s1"]
+
     def test_outputs_and_reload(self, tmp_path):
         trials = canonical_trials()[:1]
         summary = evaluate(trials, lambda t, s: DoNothing(), "do-nothing",
@@ -861,6 +879,16 @@ class TestCLI:
          r"^--trials-fixture: trial_id 't/1' may hold only letters, digits, '\.', '_' and '-'$"),
         ([*_GENERATE, "--out", "{tmp}/missing/x.yaml"], {},
          r"^--out: \[Errno 2\] No such file or directory: '.*x\.yaml'$"),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"],
+         {"t.yaml": _fixture_with([0.0, 0.0, 0.0], "screen_misalignment_m")},
+         r"^--trials-fixture: trial-001: screen misalignment has 3 values, expected 2$"),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"],
+         {"t.yaml": _fixture_with([0.0], "screen_misalignment_m")},
+         r"^--trials-fixture: trial-001: screen misalignment has 1 values, expected 2$"),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"], {"t.yaml": _fixture_with(2.7, "seed")},
+         r"^--trials-fixture: trial-001: seed: must be an integer, got 2\.7$"),
+        ([*_RUN, "--trials-fixture", "{tmp}/t.yaml"], {"t.yaml": _fixture_with(True, "seed")},
+         r"^--trials-fixture: trial-001: seed: must be an integer, got True$"),
     ], ids=[
         "config-missing", "config-not-yaml", "run-lattice", "generate-lattice",
         "run-trial-generator", "generate-trial-generator", "workers-word", "workers-float",
@@ -881,6 +909,7 @@ class TestCLI:
         "es-script", "bo-policy", "random-model", "do-nothing-prompt", "rlo-backend",
         "llm-policy", "llm-exhaust-without-script", "llm-backend-with-script",
         "fixture-unsafe-trial-id", "generate-out-missing-dir",
+        "fixture-screen-3", "fixture-screen-1", "fixture-seed-fraction", "fixture-seed-bool",
     ])
     def test_malformed_input_exits_with_one_line(self, tmp_path, argv, files, message):
         for name, text in files.items():
@@ -925,6 +954,18 @@ class TestCLI:
         ]) == 0
         data = load_summary(out)
         assert data["optimizers"][0]["optimizer_id"] == "rlo"
+
+    @pytest.mark.parametrize("policy, message", [
+        ("_dict_policy", "TypeError: policy must return MagnetSettings"),
+        ("_raising_policy", "RuntimeError: policy failed at step 1"),
+    ], ids=["returns-dict", "raises"])
+    def test_failed_run_exits_with_one_line_naming_it(self, tmp_path, policy, message):
+        with pytest.raises(SystemExit, match=f"^run trial-001/s0: {message}$") as exit_info:
+            cli_main([
+                "run", "--optimizer", "rlo", "--policy", f"test_optimizers:{policy}",
+                "--budget", "2", "--seeds", "1", "--out", str(tmp_path / "r"),
+            ])
+        assert "\n" not in exit_info.value.code
 
     def test_rlo_policy_is_the_named_attribute(self, tmp_path):
         # loading never calls the policy, not even one that takes no arguments

@@ -30,7 +30,7 @@ from beamtune.optics import (
     read_screen,
     track,
 )
-from beamtune.task import MagnetSettings, TuningEnvironment, make_trial
+from beamtune.task import ACTUATOR_RANGES, MagnetSettings, TuningEnvironment, make_trial
 
 
 def rk4_quad_plane(k1: float, length: float, n_steps: int = 4000) -> np.ndarray:
@@ -219,7 +219,7 @@ class TestTrack:
             else:
                 misalignments = tuple(tuple(rng.uniform(-5e-4, 5e-4, 2)) for _ in range(3))
             lattice = Lattice(geometries[case % 2], misalignments)
-            values = [float(rng.uniform(lo, hi)) for lo, hi in MagnetSettings.ranges()]
+            values = [float(rng.uniform(lo, hi)) for lo, hi in ACTUATOR_RANGES]
             if case % 4 == 0:  # strengths around the series threshold, signed zero angles
                 for index in (0, 1, 3):
                     if rng.random() < 0.5:
@@ -283,7 +283,7 @@ class TestTrack:
         rng = np.random.default_rng(5)
         for _ in range(20):
             settings = MagnetSettings(
-                *(rng.uniform(lo, hi) for lo, hi in MagnetSettings.ranges())
+                *(rng.uniform(lo, hi) for lo, hi in ACTUATOR_RANGES)
             )
             out = track(lattice, settings, pencil_state())
             cov = out.covariance
@@ -338,6 +338,19 @@ class TestGeometryValidation:
     def test_overlapping_quads_rejected(self):
         with pytest.raises(OpticsError):
             LatticeGeometry(q1=0.18, q2=0.20)  # Q2 starts inside Q1
+
+    @pytest.mark.parametrize("geometry, gaps", [
+        (LatticeGeometry(),
+         (0.18, 0.732 - (0.18 + 0.122), 1.054 - (0.732 + 0.122), 1.234 - 1.054,
+          1.806 - (1.234 + 0.122), 2.506 - 1.806)),
+        (LatticeGeometry(quad_length=0.08, q1=0.1, q2=0.5, cv=0.7, q3=0.9, ch=1.3, screen=2.0),
+         (0.1, 0.5 - (0.1 + 0.08), 0.7 - (0.5 + 0.08), 0.9 - 0.7, 1.3 - (0.9 + 0.08),
+          2.0 - 1.3)),
+    ], ids=["default", "short"])
+    def test_drift_lengths_are_the_gaps(self, geometry, gaps):
+        # entrance to q1, q1 end to q2, q2 end to cv, cv to q3, q3 end to ch,
+        # ch to screen; bit for bit, as track reads them
+        assert [d.hex() for d in geometry.drift_lengths()] == [g.hex() for g in gaps]
 
     def test_overlap_within_tolerance_is_a_zero_drift(self):
         # Q2 starts 5e-13 m inside Q1: accepted, and tracked as no drift

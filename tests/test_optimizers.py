@@ -24,11 +24,11 @@ from beamtune.optimizers import (
     ReinforcementPolicyOptimizer,
     expected_improvement,
 )
-from beamtune.optimizers.base import box_bounds, denormalize, normalize
+from beamtune.optimizers.base import denormalize, normalize
 from beamtune.optimizers import gp as gp_module
 from beamtune.optimizers.gp import GPFitError, expected_improvement_and_gradient
 from beamtune.optimizers.extremum_seeking import default_frequencies
-from beamtune.task import Sample
+from beamtune.task import ACTUATOR_RANGES, Sample
 
 DUMMY_PARAMS = BeamParameters(0.0, 0.1, 0.0, 0.1)
 
@@ -70,7 +70,7 @@ class TestRandomSearch:
         sampler = RandomSearch(seed=5)
         sequence = [sampler.propose(history) for _ in range(10)]
         assert sequence[0] != sequence[1]  # actually random
-        low, high = box_bounds()
+        low, high = np.array(ACTUATOR_RANGES).T
         for settings in sequence:
             assert np.all(np.array(settings.as_tuple()) >= low)
             assert np.all(np.array(settings.as_tuple()) <= high)
@@ -401,7 +401,7 @@ class TestBayesianOptimizer:
     def test_initial_design_inside_box(self):
         optimizer = BayesianOptimizer(seed=0)
         history = [toy_sample(0, np.zeros(5), 1.0)]
-        low, high = box_bounds()
+        low, high = np.array(ACTUATOR_RANGES).T
         for _ in range(4):  # history sizes 1..4 use the design
             proposal = optimizer.propose(history)
             values = np.array(proposal.as_tuple())
@@ -429,7 +429,7 @@ class TestBayesianOptimizer:
         history = drive(BayesianOptimizer(seed=3), sphere, np.full(5, 0.4), 6)
         optimizer = BayesianOptimizer(seed=3)  # no warm start, like the fit below
         proposal = optimizer.propose(history)
-        low, high = box_bounds()
+        low, high = np.array(ACTUATOR_RANGES).T
         values = np.array(proposal.as_tuple())
         assert np.all(values >= low) and np.all(values <= high)
         X = np.array([normalize(s.settings) for s in history])
@@ -520,3 +520,11 @@ def _example_policy(history):
 
 def _policy_with_default_history(history=()):
     return history[0].settings
+
+
+def _dict_policy(history):
+    return {name: 0.0 for name in ("q1", "q2", "cv", "q3", "ch")}
+
+
+def _raising_policy(history):
+    raise RuntimeError(f"policy failed at step {len(history)}")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import yaml
@@ -116,6 +118,26 @@ class TestMakeTrial:
         env = TuningEnvironment(zeroed)
         sample = env.reset()
         assert sample.objective > 0
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"screen_misalignment": (0.0, 0.0, 0.0)}, "screen misalignment has 3 values"),
+        ({"screen_misalignment": (0.0,)}, "screen misalignment has 1 values"),
+        ({"quad_misalignments": ((0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0))},
+         "quad 2 misalignment has 3 values"),
+        ({"quad_misalignments": ((0.0,), (0.0, 0.0), (0.0, 0.0))},
+         "quad 1 misalignment has 1 values"),
+    ], ids=["screen-3", "screen-1", "quad-3", "quad-1"])
+    def test_misalignment_is_two_values(self, changes, message):
+        # a trial built in Python, which no fixture reader has seen
+        with pytest.raises(ValueError, match=f"^trial-001: {message}, expected 2$"):
+            dataclasses.replace(make_trial(1), **changes)
+
+    @pytest.mark.parametrize("seed", [2.7, 2.0, True, "2"])
+    def test_fixture_seed_is_an_integer(self, seed):
+        data = trial_to_dict(make_trial(1))
+        data["seed"] = seed
+        with pytest.raises(ValueError, match="^trial-001: seed: must be an integer, got "):
+            trial_from_dict(data)
 
     def test_malformed_ranges_rejected(self):
         with pytest.raises(ValueError):
